@@ -15,32 +15,6 @@
 
 namespace mnsim::spice {
 
-namespace internal {
-
-Indexer build_indexer(const Netlist& nl) {
-  const int nodes = nl.node_count() + 1;  // include ground slot
-  Indexer ix;
-  ix.unknown_of_node.assign(nodes, -2);
-  ix.pinned_voltage.assign(nodes, 0.0);
-  ix.unknown_of_node[kGround] = -1;
-  for (const auto& s : nl.sources()) {
-    ix.unknown_of_node[s.node] = -1;
-    ix.pinned_voltage[s.node] = s.volts;
-  }
-  for (int n = 1; n < nodes; ++n) {
-    if (ix.unknown_of_node[n] == -2)
-      ix.unknown_of_node[n] = ix.unknown_count++;
-  }
-  return ix;
-}
-
-}  // namespace internal
-
-using internal::build_indexer;
-using internal::CsrRefillSink;
-using internal::Indexer;
-using internal::stamp;
-
 void SolverDiagnostics::absorb(const SolverDiagnostics& other) {
   newton_iterations += other.newton_iterations;
   newton_residual = std::max(newton_residual, other.newton_residual);
@@ -62,12 +36,86 @@ void SolverDiagnostics::absorb(const SolverDiagnostics& other) {
 
 namespace {
 
+struct Indexer {
+  // Maps node id -> unknown index, or -1 for ground / pinned nodes.
+  std::vector<int> unknown_of_node;
+  std::vector<double> pinned_voltage;  // by node id (0 where free)
+  int unknown_count = 0;
+};
+
+Indexer build_indexer(const Netlist& nl) {
+  const int nodes = nl.node_count() + 1;  // include ground slot
+  Indexer ix;
+  ix.unknown_of_node.assign(nodes, -2);
+  ix.pinned_voltage.assign(nodes, 0.0);
+  ix.unknown_of_node[kGround] = -1;
+  for (const auto& s : nl.sources()) {
+    ix.unknown_of_node[s.node] = -1;
+    ix.pinned_voltage[s.node] = s.volts;
+  }
+  for (int n = 1; n < nodes; ++n) {
+    if (ix.unknown_of_node[n] == -2)
+      ix.unknown_of_node[n] = ix.unknown_count++;
+  }
+  return ix;
+}
+
+// Sink adapter for stamping into a CSR matrix with a frozen sparsity
+// pattern (values-only refill). `ok` drops to false when a stamp misses
+// the pattern — the caller must then rebuild from a SparseBuilder.
+struct CsrRefillSink {
+  numeric::CsrMatrix* matrix = nullptr;
+  bool ok = true;
+
+  void add(std::size_t row, std::size_t col, double value) {
+    if (!matrix->add_at(row, col, value)) ok = false;
+  }
+};
+
+// Stamps a conductance g between nodes a and b, with an optional parallel
+// current source i_src flowing a -> b (companion model), into (A, rhs).
+// MatrixSink is anything with add(row, col, value): a SparseBuilder on
+// first assembly, a CsrRefillSink when the pattern is cached.
+template <typename MatrixSink>
+void stamp(const Indexer& ix, MatrixSink& a, std::vector<double>& rhs,
+           NodeId na, NodeId nb, double g, double i_src) {
+  const int ua = ix.unknown_of_node[na];
+  const int ub = ix.unknown_of_node[nb];
+  const double va = ua < 0 ? ix.pinned_voltage[na] : 0.0;
+  const double vb = ub < 0 ? ix.pinned_voltage[nb] : 0.0;
+  if (ua >= 0) {
+    a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ua), g);
+    rhs[static_cast<std::size_t>(ua)] -= i_src;
+    if (ub >= 0)
+      a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ub), -g);
+    else
+      rhs[static_cast<std::size_t>(ua)] += g * vb;
+  }
+  if (ub >= 0) {
+    a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ub), g);
+    rhs[static_cast<std::size_t>(ub)] += i_src;
+    if (ua >= 0)
+      a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ua), -g);
+    else
+      rhs[static_cast<std::size_t>(ub)] += g * va;
+  }
+}
+
+// A backward-Euler time step: capacitors join the assembly as companion
+// models, integrating from the node voltages (by node id) of the
+// previous accepted step. Absent (null) for DC solves, where capacitors
+// are open circuits.
+struct EulerStep {
+  double dt = 0.0;
+  const std::vector<double>* previous = nullptr;
+};
+
 // Stamps every element of `nl` into (sink, rhs) with the companion model
 // linearized around `voltages` (by node id). One call = one assembly.
 template <typename MatrixSink>
 void assemble(const Netlist& nl, const Indexer& ix,
-              const std::vector<double>& voltages, MatrixSink& sink,
-              std::vector<double>& rhs) {
+              const std::vector<double>& voltages, const EulerStep* step,
+              MatrixSink& sink, std::vector<double>& rhs) {
   const auto& dev = nl.device();
   // The sinh/cosh companion model overflows for iterates far outside the
   // physical range; clamp the argument so a wild Newton step degrades
@@ -95,6 +143,15 @@ void assemble(const Netlist& nl, const Indexer& ix,
     const double i0 = a_coef * std::sinh(vc / vt);
     const double gd = std::cosh(vc / vt) / m.r_state;
     stamp(ix, sink, rhs, m.a, m.b, gd, i0 - gd * vc);
+  }
+
+  if (step == nullptr) return;
+  // Backward-Euler capacitor companion: G = C/dt with a history current
+  // source -(C/dt) * v_prev flowing a -> b.
+  const std::vector<double>& prev = *step->previous;
+  for (const auto& c : nl.capacitors()) {
+    const double g = c.farads / step->dt;
+    stamp(ix, sink, rhs, c.a, c.b, g, -g * (prev[c.a] - prev[c.b]));
   }
 }
 
@@ -139,10 +196,12 @@ numeric::BipartitePartition translate_partition(const WireStructure& ws,
 // path. `prefactored` is the batch engine's factor-once Schur handle
 // (null outside solve_dc_batch); it is only consulted while the cached
 // matrix is being value-refilled, i.e. while the batch's shared-matrix
-// guarantee holds.
+// guarantee holds. `step` turns the solve into one backward-Euler time
+// step (null for DC).
 DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
                        MnaCache* cache,
-                       const numeric::SchurFactorization* prefactored) {
+                       const numeric::SchurFactorization* prefactored,
+                       const EulerStep* step) {
   // Refuse-with-diagnosis: vet the topology before any numeric work.
   // A cache with a valid pattern means this structure already passed, so
   // sweep iterations skip straight to assembly.
@@ -217,7 +276,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       if (mc.pattern_valid && mc.matrix.size() == n_unknowns) {
         mc.matrix.zero_values();
         CsrRefillSink sink{&mc.matrix};
-        assemble(nl, ix, result.node_voltages, sink, rhs);
+        assemble(nl, ix, result.node_voltages, step, sink, rhs);
         if (sink.ok) {
           refilled = true;
         } else {
@@ -233,7 +292,7 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
       }
       if (!refilled) {
         numeric::SparseBuilder builder(n_unknowns);
-        assemble(nl, ix, result.node_voltages, builder, rhs);
+        assemble(nl, ix, result.node_voltages, step, builder, rhs);
         mc.matrix = numeric::CsrMatrix(builder);
         mc.pattern_valid = true;
       } else if (external) {
@@ -356,13 +415,14 @@ DcResult solve_dc_impl(const Netlist& nl, const DcOptions& opt,
 }
 
 // The traced + metered entry every public solve goes through; the batch
-// engine calls it per entry so batched solves are observable exactly
-// like scalar ones.
+// engine calls it per entry and the transient solver per time step, so
+// batched and transient solves are observable exactly like scalar ones.
 DcResult solve_dc_traced(const Netlist& nl, const DcOptions& opt,
                          MnaCache* cache,
-                         const numeric::SchurFactorization* prefactored) {
+                         const numeric::SchurFactorization* prefactored,
+                         const EulerStep* step = nullptr) {
   obs::Span span("spice.solve_dc");
-  DcResult result = solve_dc_impl(nl, opt, cache, prefactored);
+  DcResult result = solve_dc_impl(nl, opt, cache, prefactored, step);
 
   // Publish the per-solve diagnostics into the uniform metrics layer.
   // The struct keeps riding in DcResult for per-result reporting; the
@@ -394,6 +454,18 @@ DcResult solve_dc_traced(const Netlist& nl, const DcOptions& opt,
 
 DcResult solve_dc(const Netlist& nl, const DcOptions& opt, MnaCache* cache) {
   return solve_dc_traced(nl, opt, cache, nullptr);
+}
+
+DcResult internal::solve_backward_euler_step(
+    const Netlist& nl, double dt, const std::vector<double>& previous,
+    MnaCache& cache) {
+  // Transient runs gate on Netlist::validate() alone (see transient.hpp):
+  // a capacitor-only node fails the DC pre-flight but is well-posed here.
+  DcOptions opt;
+  opt.preflight = false;
+  cache.warm_start_voltages = previous;
+  const EulerStep step{dt, &previous};
+  return solve_dc_traced(nl, opt, &cache, nullptr, &step);
 }
 
 void solve_dc_batch_visit(
@@ -442,7 +514,7 @@ void solve_dc_batch_visit(
             ix.pinned_voltage[static_cast<std::size_t>(n)];
     std::vector<double> rhs(n_unknowns, 0.0);
     numeric::SparseBuilder builder(n_unknowns);
-    assemble(base, ix, voltages, builder, rhs);
+    assemble(base, ix, voltages, nullptr, builder, rhs);
     master.matrix = numeric::CsrMatrix(builder);
     master.pattern_valid = true;
   }

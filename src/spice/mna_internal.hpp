@@ -1,63 +1,21 @@
-// Shared internals of the MNA solvers (DC and transient): node indexing
-// for pinned/free nodes and symmetric conductance stamping with companion
-// current sources. Not part of the public API.
+// The one entry the transient solver shares with the DC solver. Not part
+// of the public API.
 #pragma once
 
 #include <vector>
 
-#include "numeric/sparse.hpp"
-#include "spice/netlist.hpp"
+#include "spice/mna.hpp"
 
 namespace mnsim::spice::internal {
 
-struct Indexer {
-  // Maps node id -> unknown index, or -1 for ground / pinned nodes.
-  std::vector<int> unknown_of_node;
-  std::vector<double> pinned_voltage;  // by node id (0 where free)
-  int unknown_count = 0;
-};
-
-Indexer build_indexer(const Netlist& netlist);
-
-// Sink adapter for stamping into a CSR matrix with a frozen sparsity
-// pattern (values-only refill). `ok` drops to false when a stamp misses
-// the pattern — the caller must then rebuild from a SparseBuilder.
-struct CsrRefillSink {
-  numeric::CsrMatrix* matrix = nullptr;
-  bool ok = true;
-
-  void add(std::size_t row, std::size_t col, double value) {
-    if (!matrix->add_at(row, col, value)) ok = false;
-  }
-};
-
-// Stamps a conductance g between nodes a and b, with an optional parallel
-// current source i_src flowing a -> b (companion model), into (A, rhs).
-// MatrixSink is anything with add(row, col, value): a SparseBuilder on
-// first assembly, a CsrRefillSink when the pattern is cached.
-template <typename MatrixSink>
-void stamp(const Indexer& ix, MatrixSink& a, std::vector<double>& rhs,
-           NodeId na, NodeId nb, double g, double i_src) {
-  const int ua = ix.unknown_of_node[na];
-  const int ub = ix.unknown_of_node[nb];
-  const double va = ua < 0 ? ix.pinned_voltage[na] : 0.0;
-  const double vb = ub < 0 ? ix.pinned_voltage[nb] : 0.0;
-  if (ua >= 0) {
-    a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ua), g);
-    rhs[static_cast<std::size_t>(ua)] -= i_src;
-    if (ub >= 0)
-      a.add(static_cast<std::size_t>(ua), static_cast<std::size_t>(ub), -g);
-    else
-      rhs[static_cast<std::size_t>(ua)] += g * vb;
-  }
-  if (ub >= 0) {
-    a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ub), g);
-    rhs[static_cast<std::size_t>(ub)] += i_src;
-    if (ua >= 0)
-      a.add(static_cast<std::size_t>(ub), static_cast<std::size_t>(ua), -g);
-    else
-      rhs[static_cast<std::size_t>(ub)] += g * va;
-  }
-}
+// Solves one backward-Euler time step of length `dt` through solve_dc's
+// traced, metered Newton/assembly/ladder kernel, with every capacitor
+// stamped as its companion model (G = C/dt in parallel with a history
+// current -G * v_prev). `previous` holds the node voltages (by node id)
+// of the last accepted step; Newton warm-starts from it. One `cache`
+// serves a whole run, so the sparsity pattern is built once.
+DcResult solve_backward_euler_step(const Netlist& netlist, double dt,
+                                   const std::vector<double>& previous,
+                                   MnaCache& cache);
 
 }  // namespace mnsim::spice::internal

@@ -1,10 +1,10 @@
 #include "spice/transient.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
-#include "numeric/sparse.hpp"
 #include "spice/mna_internal.hpp"
 
 namespace mnsim::spice {
@@ -30,18 +30,22 @@ TransientResult solve_transient(const Netlist& nl,
                                 const std::vector<NodeId>& probes,
                                 const TransientOptions& opt) {
   nl.validate();
-  if (!(opt.time_step > 0) || !(opt.end_time > 0))
-    throw std::invalid_argument("solve_transient: time step / end time");
-  const internal::Indexer ix = internal::build_indexer(nl);
+  const double dt = opt.time_step;
+  if (!std::isfinite(dt) || !(dt > 0) || !std::isfinite(opt.end_time) ||
+      !(opt.end_time > 0))
+    throw std::invalid_argument(
+        "solve_transient: time step / end time must be finite and positive");
+  // Checked in double before the cast: converting a quotient at or above
+  // 2^63 (or inf) to long is undefined.
+  const double step_count = std::ceil(opt.end_time / dt);
+  if (!(step_count < static_cast<double>(std::numeric_limits<long>::max())))
+    throw std::invalid_argument("solve_transient: too many time steps");
+  const auto steps = static_cast<long>(step_count);
   const int nodes = nl.node_count() + 1;
   for (NodeId p : probes) {
     if (p < 0 || p >= nodes)
       throw std::invalid_argument("solve_transient: probe node");
   }
-
-  const auto& dev = nl.device();
-  const double dt = opt.time_step;
-  const long steps = static_cast<long>(std::ceil(opt.end_time / dt));
 
   // v holds the full node-voltage vector of the previous accepted step;
   // initial condition: everything at zero, sources step at t = 0+.
@@ -58,73 +62,12 @@ TransientResult solve_transient(const Netlist& nl,
   };
   record(0.0);
 
-  // After t = 0 the pinned nodes hold their DC values.
-  std::vector<double> v_next = v;
-  for (int n = 0; n < nodes; ++n) {
-    if (ix.unknown_of_node[n] < 0) v_next[n] = ix.pinned_voltage[n];
-  }
-
+  MnaCache cache;
   for (long step = 1; step <= steps; ++step) {
-    // Newton iterations for this time point, starting from the previous
-    // point's solution.
-    bool step_converged = nl.memristors().empty() || nl.linear_memristors();
-    const int newton_max =
-        step_converged ? 1 : opt.max_newton_iterations;
-    for (int it = 0; it < newton_max; ++it) {
-      numeric::SparseBuilder builder(
-          static_cast<std::size_t>(ix.unknown_count));
-      std::vector<double> rhs(static_cast<std::size_t>(ix.unknown_count),
-                              0.0);
-
-      for (const auto& r : nl.resistors())
-        internal::stamp(ix, builder, rhs, r.a, r.b, 1.0 / r.ohms, 0.0);
-
-      for (const auto& m : nl.memristors()) {
-        if (nl.linear_memristors()) {
-          internal::stamp(ix, builder, rhs, m.a, m.b, 1.0 / m.r_state, 0.0);
-          continue;
-        }
-        const double v0 = v_next[m.a] - v_next[m.b];
-        const double vt = dev.nonlinearity_vt.value();
-        // Saturate the companion model at the same bound as the DC
-        // stamp (tech::kMaxSinhArg): a Newton iterate that overshoots
-        // must yield a huge-but-finite conductance, not overflow sinh
-        // into inf and poison the whole matrix. Clamping in volts keeps
-        // the in-range path bit-identical to the unclamped formula.
-        const double vc = std::clamp(v0, -tech::kMaxSinhArg * vt,
-                                     tech::kMaxSinhArg * vt);
-        const double i0 = (vt / m.r_state) * std::sinh(vc / vt);
-        const double gd = std::cosh(vc / vt) / m.r_state;
-        internal::stamp(ix, builder, rhs, m.a, m.b, gd, i0 - gd * vc);
-      }
-
-      // Backward-Euler capacitor companion: G = C/dt with a history
-      // current source -(C/dt) * v_prev flowing a -> b.
-      for (const auto& c : nl.capacitors()) {
-        const double g = c.farads / dt;
-        const double v_prev = v[c.a] - v[c.b];
-        internal::stamp(ix, builder, rhs, c.a, c.b, g, -g * v_prev);
-      }
-
-      numeric::CsrMatrix a(builder);
-      auto cg = numeric::conjugate_gradient(a, rhs, opt.cg_tolerance);
-      if (!cg.converged)
-        throw std::runtime_error("solve_transient: conjugate gradient stalled");
-
-      double max_delta = 0.0;
-      for (int n = 1; n < nodes; ++n) {
-        const int u = ix.unknown_of_node[n];
-        if (u < 0) continue;
-        max_delta = std::max(max_delta, std::fabs(cg.x[u] - v_next[n]));
-        v_next[n] = cg.x[u];
-      }
-      if (max_delta < opt.newton_tolerance) {
-        step_converged = true;
-        break;
-      }
-    }
-    if (!step_converged) result.converged = false;
-    v = v_next;
+    DcResult point = internal::solve_backward_euler_step(nl, dt, v, cache);
+    result.diagnostics.absorb(point.diagnostics);
+    if (!point.converged) result.converged = false;
+    v = std::move(point.node_voltages);
     record(static_cast<double>(step) * dt);
   }
   return result;

@@ -9,12 +9,21 @@
 // 6-tau behavior estimate, and the measured settling time.
 //
 // Integration: backward Euler with the standard capacitor companion model
-// (G = C/dt in parallel with a history current source), Newton-iterated
-// per step for the nonlinear memristors.
+// (G = C/dt in parallel with a history current source). Every time step
+// is one solve of the DC engine (spice/mna.hpp) with the companions
+// stamped in: the same assembly, Newton loop (DcOptions defaults), Schur
+// rung and resilient ladder, watchdog polls (util/cancel.hpp), spans and
+// metrics. One MnaCache serves the whole run, so the sparsity pattern is
+// built once and each step warm-starts from the previous one.
+//
+// Validation: the run gates on Netlist::validate(), not on the DC
+// pre-flight, because a node reached only through capacitors is floating
+// at DC (MN-NET-004) yet well-posed at every time step.
 #pragma once
 
 #include <vector>
 
+#include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 
 namespace mnsim::spice {
@@ -22,15 +31,13 @@ namespace mnsim::spice {
 struct TransientOptions {
   double time_step = 1e-12;    // dt [s]
   double end_time = 1e-9;      // total simulated time [s]
-  double newton_tolerance = 1e-9;
-  int max_newton_iterations = 40;
-  double cg_tolerance = 1e-12;
 };
 
 struct TransientResult {
   std::vector<double> time;                        // sample instants
   std::vector<std::vector<double>> probe_voltages; // [probe][step]
   bool converged = false;                          // every step converged
+  SolverDiagnostics diagnostics;                   // absorbed over all steps
 
   // First instant after which the probe stays within `tolerance`
   // (relative) of its final value; returns end_time when it never
@@ -41,6 +48,8 @@ struct TransientResult {
 
 // Integrates from all-zero initial conditions with the sources stepping
 // to their DC values at t = 0. `probes` selects the recorded nodes.
+// Throws std::invalid_argument on a non-finite or non-positive time step
+// or end time, or a step count that does not fit in a long.
 TransientResult solve_transient(const Netlist& netlist,
                                 const std::vector<NodeId>& probes,
                                 const TransientOptions& options = {});

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "check/netlist_check.hpp"
+#include "obs/metrics.hpp"
 #include "spice/crossbar_netlist.hpp"
 #include "spice/delay.hpp"
 #include "spice/mna.hpp"
+#include "util/cancel.hpp"
 
 namespace mnsim::spice {
 namespace {
@@ -120,6 +124,19 @@ TEST(Transient, InvalidArgumentsThrow) {
   EXPECT_THROW(solve_transient(nl, {n}, opt), std::invalid_argument);
   opt = TransientOptions{};
   EXPECT_THROW(solve_transient(nl, {99}, opt), std::invalid_argument);
+  // Non-finite inputs, and step counts that overflow a long, are
+  // rejected before the step count is cast.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [dt, end] :
+       {std::pair{inf, 1e-9}, std::pair{1e-12, inf}, std::pair{nan, 1e-9},
+        std::pair{1e-12, nan}, std::pair{1e-300, 1e-9},
+        std::pair{1e-12, -1e-9}}) {
+    opt.time_step = dt;
+    opt.end_time = end;
+    EXPECT_THROW(solve_transient(nl, {n}, opt), std::invalid_argument)
+        << "dt=" << dt << " end=" << end;
+  }
   auto res = solve_transient(nl, {n}, TransientOptions{});
   EXPECT_THROW((void)res.settling_time(5), std::out_of_range);
 }
@@ -151,5 +168,86 @@ TEST(Transient, StronglyNonlinearDeviceStaysFinite) {
   const auto dc = solve_dc(nl);
   EXPECT_NEAR(res.probe_voltages[0].back(), dc.node_voltages[mid], 1e-6);
 }
+
+TEST(Transient, HonoursTheWatchdog) {
+  // Every step goes through the DC Newton loop, which polls the
+  // cooperative watchdog: a run under an already-requested token stops.
+  Netlist nl;
+  NodeId in = nl.add_node();
+  NodeId out = nl.add_node();
+  nl.add_source(in, 1.0);
+  nl.add_resistor(in, out, 1e3);
+  nl.add_capacitor(out, kGround, 1e-12);
+  util::CancelToken token;
+  token.request();
+  util::ScopedCancel scope(&token);
+  EXPECT_THROW(solve_transient(nl, {out}, TransientOptions{}),
+               util::CancelledError);
+}
+
+TEST(Transient, ReportsDiagnosticsOfEveryStep) {
+  // 8x8 RC crossbar with nonlinear cells: one cache serves the run, so
+  // the pattern is built by the first assembly and refilled by every
+  // later one, every step warm-starts from the previous one, the wire
+  // structure routes the linear solves through the Schur rung, and each
+  // step is one metered solve.
+  auto device = tech::default_rram();
+  auto spec =
+      CrossbarSpec::uniform(8, 8, device, 5.0, 60.0, device.r_min.value());
+  spec.segment_capacitance = 50e-15;
+  std::vector<NodeId> columns;
+  Netlist nl = build_crossbar_netlist(spec, &columns);
+  TransientOptions opt;
+  opt.time_step = 20e-12;
+  opt.end_time = 2e-9;
+
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  const long solves_before = reg.counter("spice.solves");
+  const auto res = solve_transient(nl, {columns.back()}, opt);
+  ASSERT_TRUE(res.converged);
+  const long steps = static_cast<long>(res.time.size()) - 1;
+  ASSERT_GT(steps, 0);
+  const SolverDiagnostics& d = res.diagnostics;
+  EXPECT_GT(d.schur_solves, 0);
+  EXPECT_EQ(d.warm_starts, steps);
+  EXPECT_GT(d.newton_iterations, steps);  // some steps iterate Newton
+  EXPECT_EQ(d.cache_hits, d.newton_iterations - 1);
+  EXPECT_FALSE(d.degraded());
+  EXPECT_EQ(reg.counter("spice.solves") - solves_before, steps);
+}
+
+TEST(Transient, CapacitorOnlyNodeIntegrates) {
+  // Node `mid` is reached only through capacitors: floating at DC, so the
+  // DC pre-flight refuses it (MN-NET-004), but every backward-Euler step
+  // is well-posed. From zero charge it follows the capacitive divider
+  // v_mid = v_out * C1 / (C1 + C2) exactly.
+  Netlist nl;
+  NodeId in = nl.add_node();
+  NodeId out = nl.add_node();
+  NodeId mid = nl.add_node();
+  nl.add_source(in, 1.0);
+  nl.add_resistor(in, out, 1e3);
+  nl.add_capacitor(out, mid, 1e-12);
+  nl.add_capacitor(mid, kGround, 3e-12);
+
+  check::NetlistCheckOptions structural;
+  structural.connectivity = false;
+  EXPECT_TRUE(check::check_netlist(nl, structural).has_code("MN-NET-004"));
+  EXPECT_THROW(solve_dc(nl), check::CheckError);
+
+  TransientOptions opt;
+  opt.time_step = 10e-12;
+  opt.end_time = 5e-9;
+  const auto res = solve_transient(nl, {out, mid}, opt);
+  ASSERT_TRUE(res.converged);
+  for (std::size_t i = 0; i < res.time.size(); ++i)
+    EXPECT_NEAR(res.probe_voltages[1][i], 0.25 * res.probe_voltages[0][i],
+                1e-9)
+        << "t=" << res.time[i];
+  // tau = R * (C1 series C2) = 0.75 ns, so 5 ns is about 6.7 tau.
+  EXPECT_NEAR(res.probe_voltages[0].back(), 1.0, 1e-2);
+}
+
 }  // namespace
 }  // namespace mnsim::spice
