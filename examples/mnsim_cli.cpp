@@ -14,7 +14,8 @@
 //   config.ini    accelerator configuration (paper Table-I keys)
 //   --dse         additionally run the design-space exploration (optional
 //                 error constraint in percent, default 25) before the
-//                 single-design simulation
+//                 single-design simulation; prints the same summary as
+//                 `sweep`, quarantined points included
 //   --pipeline    additionally print the inter-layer pipeline analysis
 //   --cycle       additionally run the cycle-level dataflow engine
 //                 against the [cycle] scratchpad/bandwidth model and
@@ -48,6 +49,7 @@
 // findings. Exit status: 0 clean, 1 diagnosed errors, 2 usage errors.
 //
 // With no arguments, simulates a built-in demo MLP under the defaults.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,23 +83,48 @@ using namespace mnsim::units;
 
 namespace {
 
-// Returns false when the exploration surfaced error diagnostics (e.g.
-// MN-DSE-006, every point failed) so main can exit nonzero.
-bool run_dse(const nn::Network& net, const arch::AcceleratorConfig& base,
-             double constraint) {
+// Prints a sweep's summary line with the quarantine breakdown, its
+// optima table and its diagnostics. Returns the exit status: 1 when a
+// diagnostic is an error (e.g. MN-DSE-006, every point failed), else 0.
+int print_sweep_summary(const dse::SweepResult& sweep) {
+  std::printf(
+      "%zu point%s: %ld feasible, %ld resumed, %ld evaluated, "
+      "%ld quarantined (%ld check, %ld numeric, %ld timeout), "
+      "%ld retr%s\n",
+      sweep.records.size(), sweep.records.size() == 1 ? "" : "s",
+      sweep.result.feasible_count, sweep.resumed_count,
+      sweep.evaluated_count, sweep.quarantined_count, sweep.failed_check,
+      sweep.failed_numeric, sweep.failed_timeout, sweep.retried_count,
+      sweep.retried_count == 1 ? "y" : "ies");
+  std::fputs(
+      dse::format_optima_table(sweep.result, "Optimal designs").c_str(),
+      stdout);
+  for (const auto& d : sweep.result.diagnostics)
+    std::fputs((d.render() + "\n").c_str(), stderr);
+  return sweep.ok() ? 0 : 1;
+}
+
+// `--dse`: the sweep dse::explore runs (no journal, one attempt per
+// point) over the paper's default space.
+int run_dse(const nn::Network& net, const arch::AcceleratorConfig& base,
+            double constraint) {
   const auto space = dse::DesignSpace::paper_default();
   std::printf("exploring %zu designs, error <= %.1f%%...\n",
               space.enumerate().size(), 100 * constraint);
-  const auto result = dse::explore(net, base, space, constraint);
-  std::printf("%ld feasible\n", result.feasible_count);
-  std::fputs(dse::format_optima_table(result, "Optimal designs").c_str(),
-             stdout);
-  bool ok = true;
-  for (const auto& d : result.diagnostics) {
-    std::fputs((d.render() + "\n").c_str(), stderr);
-    if (d.severity == check::Severity::kError) ok = false;
-  }
-  return ok;
+  dse::SweepOptions options;
+  options.constraints.max_error = constraint;
+  options.max_attempts = 1;
+  return print_sweep_summary(dse::run_sweep(net, base, space, options));
+}
+
+// Whole-string numeric option value: garbage, trailing text or an
+// out-of-range number is a usage error, not a silent 0. Range rules
+// beyond syntax belong to the consumer (run_sweep's MN-DSE-004).
+template <typename T>
+bool parse_number(const char* text, T& value) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  return ec == std::errc() && ptr == end;
 }
 
 // Functional Monte-Carlo validation of the simulated design: feed each
@@ -204,10 +231,10 @@ int run_sweep_cmd(int argc, char** argv) {
     } else if (arg == "--checkpoint" && i + 1 < argc) {
       checkpoints.emplace_back(argv[++i]);
     } else if (arg == "--deadline" && i + 1 < argc) {
-      deadline_ms = std::atof(argv[++i]);
+      if (!parse_number(argv[++i], deadline_ms)) return usage();
       have_deadline = true;
     } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      if (!parse_number(argv[++i], retries)) return usage();
       have_retries = true;
     } else if (arg == "--error" && i + 1 < argc) {
       constraint = std::atof(argv[++i]) / 100.0;
@@ -257,25 +284,12 @@ int run_sweep_cmd(int argc, char** argv) {
                                        options.constraints)
               : dse::run_sweep(net, cfg, space, options);
 
-    std::printf(
-        "%zu point%s: %ld feasible, %ld resumed, %ld evaluated, "
-        "%ld quarantined (%ld check, %ld numeric, %ld timeout), "
-        "%ld retr%s\n",
-        sweep.records.size(), sweep.records.size() == 1 ? "" : "s",
-        sweep.result.feasible_count, sweep.resumed_count,
-        sweep.evaluated_count, sweep.quarantined_count, sweep.failed_check,
-        sweep.failed_numeric, sweep.failed_timeout, sweep.retried_count,
-        sweep.retried_count == 1 ? "y" : "ies");
-    std::fputs(
-        dse::format_optima_table(sweep.result, "Optimal designs").c_str(),
-        stdout);
-    for (const auto& d : sweep.diagnostics)
-      std::fputs((d.render() + "\n").c_str(), stderr);
+    const int status = print_sweep_summary(sweep);
     if (!json_path.empty()) {
       util::atomic_write_file(json_path, dse::sweep_report_json(sweep, net));
       std::printf("wrote sweep report to %s\n", json_path.c_str());
     }
-    return sweep.ok() ? 0 : 1;
+    return status;
   } catch (const check::CheckError& e) {
     std::fputs(e.diagnostics().render_text().c_str(), stderr);
     return 1;
@@ -449,7 +463,7 @@ int main(int argc, char** argv) {
     if (want_cycle) cfg.cycle_enabled = true;
 
     int exit_code = 0;
-    if (want_dse && !run_dse(net, cfg, constraint)) exit_code = 1;
+    if (want_dse) exit_code = run_dse(net, cfg, constraint);
 
     const auto report = sim::simulate(net, cfg);
     std::fputs(sim::format_report(net, report).c_str(), stdout);

@@ -66,9 +66,10 @@ struct ExplorationResult {
   long feasible_count = 0;
   long failed_count = 0;  // points whose simulation threw (kept, infeasible)
 
-  // Non-fatal findings about the exploration itself — e.g. MN-DSE-006
-  // when every point failed. Kept on the result (not thrown) so partial
-  // data survives for diagnosis; callers decide the exit status.
+  // Non-fatal findings about the sweep itself — MN-DSE-006 when every
+  // point failed, MN-DSE-007 on a torn journal tail. Kept on the result
+  // (not thrown) so partial data survives for diagnosis; callers decide
+  // the exit status.
   std::vector<check::Diagnostic> diagnostics;
 
   // Best feasible design for one objective; ties broken by area.
@@ -104,7 +105,9 @@ struct ExplorationResult {
 };
 
 // Evaluates the network over the whole space; `base` supplies every
-// parameter the space does not sweep.
+// parameter the space does not sweep. This is run_sweep (dse/shard.hpp)
+// with no journal, no watchdog and one attempt per point: a point that
+// throws is recorded failed-infeasible and the sweep runs on.
 ExplorationResult explore(const nn::Network& network,
                           const arch::AcceleratorConfig& base,
                           const DesignSpace& space,
@@ -114,7 +117,7 @@ ExplorationResult explore(const nn::Network& network,
                           const arch::AcceleratorConfig& base,
                           const DesignSpace& space, double error_constraint);
 
-// Evaluates one point (the explore() kernel, exposed for benches/tests).
+// Evaluates one point (the sweep kernel, exposed for benches/tests).
 EvaluatedDesign evaluate_design(const nn::Network& network,
                                 const arch::AcceleratorConfig& base,
                                 const DesignPoint& point,

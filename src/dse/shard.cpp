@@ -1,6 +1,7 @@
 #include "dse/shard.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -189,7 +190,6 @@ CheckpointRecord evaluate_point(
     const SweepOptions& options, Watchdog& watchdog, std::size_t slot) {
   CheckpointRecord record;
   record.index = global_index;
-  const int max_attempts = std::max(1, options.max_attempts);
   int attempts = 0;
   for (;;) {
     ++attempts;
@@ -213,7 +213,7 @@ CheckpointRecord evaluate_point(
       record.category = FailureCategory::kNumeric;
       record.design = failed_design(point, e.what());
     }
-    if (attempts >= max_attempts) break;
+    if (attempts >= options.max_attempts) break;
   }
   record.attempts = attempts;
   return record;
@@ -246,7 +246,8 @@ void validate_record_against_space(const CheckpointRecord& record,
 }
 
 // Failure bookkeeping shared by run_sweep and merge_checkpoints: counts
-// per category, quarantines, retries, and the all-failed diagnostic.
+// per category, quarantines, retries, the non-fatal MN-DSE diagnostics
+// and the registry counters.
 void finalize(SweepResult& out) {
   out.result.feasible_count = 0;
   out.result.failed_count = 0;
@@ -283,7 +284,7 @@ void finalize(SweepResult& out) {
                 std::to_string(out.failed_numeric) + " numeric, " +
                 std::to_string(out.failed_timeout) + " timeout)";
     d.hint = "first failure: " + out.records.front().design.failure;
-    out.diagnostics.push_back(std::move(d));
+    out.result.diagnostics.push_back(std::move(d));
   }
   if (out.torn_tail) {
     check::Diagnostic d;
@@ -292,13 +293,14 @@ void finalize(SweepResult& out) {
     d.message =
         "checkpoint ended in a torn record (crash artifact); the "
         "affected point was re-evaluated";
-    out.diagnostics.push_back(std::move(d));
+    out.result.diagnostics.push_back(std::move(d));
   }
   obs::Registry& reg = obs::Registry::global();
-  reg.add("dse.sweep.points", static_cast<long>(out.records.size()));
+  reg.add("dse.design_points", static_cast<long>(out.records.size()));
+  reg.add("dse.feasible_points", out.result.feasible_count);
+  reg.add("dse.failed_points", out.result.failed_count);
   reg.add("dse.sweep.resumed_points", out.resumed_count);
   reg.add("dse.sweep.evaluated_points", out.evaluated_count);
-  reg.add("dse.sweep.quarantined_points", out.quarantined_count);
   reg.add("dse.sweep.timeout_points", out.failed_timeout);
   reg.add("dse.sweep.retries", out.retried_count);
   if (out.torn_tail) reg.add("dse.sweep.torn_tails", 1);
@@ -344,7 +346,8 @@ SweepOptions SweepOptions::from_config(const arch::AcceleratorConfig& base) {
 }
 
 bool SweepResult::ok() const {
-  return std::none_of(diagnostics.begin(), diagnostics.end(),
+  const auto& diags = result.diagnostics;
+  return std::none_of(diags.begin(), diags.end(),
                       [](const check::Diagnostic& d) {
                         return d.severity == check::Severity::kError;
                       });
@@ -358,10 +361,31 @@ SweepResult run_sweep(const nn::Network& network,
   if (options.resume && options.checkpoint_path.empty())
     reject("MN-DSE-004", "--resume requires a checkpoint journal", "",
            "pass --checkpoint <path> (or [sweep] Checkpoint)");
+  if (options.max_attempts < 1)
+    reject("MN-DSE-004",
+           "invalid sweep options: max_attempts " +
+               std::to_string(options.max_attempts) + " < 1",
+           "", "--retries (or [sweep] Max_Attempts) takes an integer >= 1");
+  // The same [0, 1e9] ms range the config checker enforces on
+  // [sweep] Point_Deadline_Ms; NaN and inf fail it too.
+  if (!(std::isfinite(options.point_deadline_ms) &&
+        options.point_deadline_ms >= 0 && options.point_deadline_ms <= 1e9)) {
+    char deadline[32];
+    std::snprintf(deadline, sizeof(deadline), "%g", options.point_deadline_ms);
+    reject("MN-DSE-004",
+           std::string("invalid sweep options: point deadline ") + deadline +
+               " ms",
+           "",
+           "--deadline (or [sweep] Point_Deadline_Ms) takes milliseconds "
+           "in [0, 1e9]; 0 disables the watchdog");
+  }
 
-  // Same pre-flight as explore(): the network and base configuration are
-  // shared by every point, so refuse-with-diagnosis before any solve.
-  // Skipped under a test evaluator — it never reads the base config.
+  // The network and base configuration are shared by every point, so
+  // refuse-with-diagnosis before any solve. Mapping feasibility is left
+  // to the per-point evaluation — the points override exactly the
+  // geometry a mapping check would use, and an unmappable point records
+  // as failed-infeasible, not an abort. Skipped under a test evaluator —
+  // it never reads the base config.
   if (base.check_preflight && !options.evaluator) {
     check::DiagnosticList diags = check::check_network(network);
     diags.merge(check::check_config_consistency(base));
@@ -659,14 +683,15 @@ std::string sweep_report_json(const SweepResult& sweep,
   os << (pareto.empty() ? "" : "\n  ") << "],\n";
 
   os << "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < sweep.diagnostics.size(); ++i) {
-    const check::Diagnostic& diag = sweep.diagnostics[i];
+  const std::vector<check::Diagnostic>& diags = sweep.result.diagnostics;
+  for (std::size_t i = 0; i < diags.size(); ++i) {
+    const check::Diagnostic& diag = diags[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"code\": " << quote(diag.code)
        << ", \"severity\": " << quote(check::severity_name(diag.severity))
        << ", \"message\": " << quote(diag.message)
        << ", \"hint\": " << quote(diag.hint) << "}";
   }
-  os << (sweep.diagnostics.empty() ? "" : "\n  ") << "]\n";
+  os << (diags.empty() ? "" : "\n  ") << "]\n";
   os << "}\n";
   return os.str();
 }

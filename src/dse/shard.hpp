@@ -1,9 +1,10 @@
-// Crash-safe sharded sweep execution (docs/ROBUSTNESS.md).
+// The design-space sweep driver (docs/ROBUSTNESS.md).
 //
-// dse::explore() is an all-or-nothing traversal: a crash, OOM kill, or
-// one pathological design point that hangs the solver throws away the
-// whole run. This layer wraps the same evaluation kernel in the
-// machinery a Table-6-scale sweep needs:
+// run_sweep() is the one driver behind every DSE front end: dse::explore()
+// is run_sweep() with no journal and a single attempt per point, and the
+// `mnsim_cli --dse` / `mnsim_cli sweep` paths call it directly. Around
+// the evaluate_design() kernel it adds the machinery a Table-6-scale
+// sweep needs:
 //
 //   * deterministic sharding — the enumerated space is partitioned by
 //     global index stride (point i belongs to shard i mod N), so any
@@ -24,8 +25,8 @@
 //     (check / numeric / timeout) while the rest of the sweep runs on.
 //
 // merge_checkpoints() combines N shard journals into one
-// ExplorationResult bit-identical to a single-process explore() — the
-// seam that later turns into distributed workers behind `mnsim serve`.
+// ExplorationResult bit-identical to a single-process run — the seam
+// that later turns into distributed workers behind `mnsim serve`.
 #pragma once
 
 #include <cstddef>
@@ -62,13 +63,14 @@ struct SweepOptions {
   // unconditionally); an existing one must pass fingerprint, shard and
   // record validation (MN-DSE-001/002/003/004).
   bool resume = false;
-  // Per-design-point watchdog deadline in milliseconds; 0 disables the
-  // watchdog. On expiry the point's solve is cooperatively cancelled
-  // and the point is quarantined as failed-with-timeout.
+  // Per-design-point watchdog deadline in milliseconds, in [0, 1e9]; 0
+  // disables the watchdog. On expiry the point's solve is cooperatively
+  // cancelled and the point is quarantined as failed-with-timeout.
   double point_deadline_ms = 0.0;
-  // Bounded-retry budget per point. Check refusals are deterministic
-  // and quarantine on the first attempt; numeric failures and timeouts
-  // are retried until the budget is exhausted, then quarantined.
+  // Bounded-retry budget per point, at least 1. Check refusals are
+  // deterministic and quarantine on the first attempt; numeric failures
+  // and timeouts are retried until the budget is exhausted, then
+  // quarantined.
   int max_attempts = 2;
   // Test seam (and the future distributed-worker boundary): replaces
   // evaluate_design(network, base, point, constraints) when set. The
@@ -84,8 +86,9 @@ struct SweepOptions {
 
 struct SweepResult {
   // Designs of this shard (or, after merge, of the whole space) in
-  // ascending global-index order; for shard 0/1 this is bit-identical
-  // to explore()'s ExplorationResult.
+  // ascending global-index order, plus the MN-DSE findings that do not
+  // abort the sweep (MN-DSE-006 when every point failed, MN-DSE-007 on
+  // a torn journal tail) in `result.diagnostics`.
   ExplorationResult result;
   // One record per design in `result.designs`, same order: global
   // index, failure category, attempts taken.
@@ -101,15 +104,15 @@ struct SweepResult {
   long failed_timeout = 0;
   bool torn_tail = false;      // journal had a crash-torn trailing record
 
-  // MN-DSE findings that do not abort the sweep (e.g. MN-DSE-006 when
-  // every point failed). ok() is the CLI's exit-status predicate.
-  std::vector<check::Diagnostic> diagnostics;
+  // False when `result.diagnostics` holds an error; the CLI's
+  // exit-status predicate.
   [[nodiscard]] bool ok() const;
 };
 
 // Evaluates this shard of the space with checkpointing, watchdog and
-// quarantine per `options`. Throws check::CheckError on invalid shard
-// specs and unusable/stale checkpoints; per-point failures never throw.
+// quarantine per `options`. Throws check::CheckError on a failed network
+// or base-config pre-flight, invalid options (MN-DSE-004) and
+// unusable/stale checkpoints; per-point failures never throw.
 SweepResult run_sweep(const nn::Network& network,
                       const arch::AcceleratorConfig& base,
                       const DesignSpace& space, const SweepOptions& options);
@@ -117,7 +120,7 @@ SweepResult run_sweep(const nn::Network& network,
 // Merges N shard journals into one full-space result, validating that
 // every journal matches the inputs (MN-DSE-002) and that the union
 // covers every enumerated point exactly (MN-DSE-005). The merged
-// ExplorationResult is bit-identical to a single-process explore().
+// ExplorationResult is bit-identical to a single-process run.
 SweepResult merge_checkpoints(const std::vector<std::string>& paths,
                               const nn::Network& network,
                               const arch::AcceleratorConfig& base,

@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "check/diagnostic.hpp"
 #include "dse/shard.hpp"
 #include "nn/topologies.hpp"
+#include "obs/metrics.hpp"
 #include "util/cancel.hpp"
 
 namespace mnsim::dse {
@@ -46,7 +49,8 @@ std::string slurp(const std::string& path) {
 }
 
 // Small real inputs: 8 design points of an MLP — fast enough to evaluate
-// for real, so resume/merge bit-identity is tested against explore().
+// for real, so sweep/resume/merge bit-identity is tested against a
+// serial reference loop.
 nn::Network small_net() { return nn::make_mlp({16, 8}); }
 
 DesignSpace small_space() {
@@ -88,6 +92,30 @@ void expect_same_designs(const std::vector<EvaluatedDesign>& a,
     EXPECT_EQ(a[i].metrics.max_error_rate, b[i].metrics.max_error_rate);
     EXPECT_EQ(a[i].metrics.avg_error_rate, b[i].metrics.avg_error_rate);
   }
+}
+
+// The reference the sweep driver is checked against: a plain serial
+// loop over the enumerated space that records a throwing point as
+// failed-infeasible, with none of the driver's machinery.
+ExplorationResult serial_reference(const nn::Network& net,
+                                   const arch::AcceleratorConfig& base,
+                                   const DesignSpace& space,
+                                   const Constraints& c) {
+  ExplorationResult result;
+  result.error_constraint = c.max_error;
+  for (const DesignPoint& point : space.enumerate()) {
+    try {
+      result.designs.push_back(evaluate_design(net, base, point, c));
+    } catch (const std::exception& e) {
+      EvaluatedDesign failed;
+      failed.point = point;
+      failed.feasible = false;
+      failed.evaluated = false;
+      failed.failure = e.what();
+      result.designs.push_back(failed);
+    }
+  }
+  return result;
 }
 
 std::string diag_code(const check::CheckError& e) {
@@ -268,13 +296,13 @@ TEST(CheckpointFormat, CorruptMiddleRecordIsRejected) {
   }
 }
 
-// ---- sweep == explore -------------------------------------------------------
+// ---- sweep == serial reference ---------------------------------------------
 
-TEST(Sweep, MatchesExploreAtAnyThreadCount) {
+TEST(Sweep, MatchesSerialReferenceAtAnyThreadCount) {
   const auto net = small_net();
   const auto space = small_space();
   const auto explored =
-      explore(net, base_config(1), space, constraints());
+      serial_reference(net, base_config(1), space, constraints());
   for (const int threads : {1, 4}) {
     SweepOptions options;
     options.constraints = constraints();
@@ -382,13 +410,69 @@ TEST(Sweep, ResumeWithoutJournalPathIsRejected) {
   }
 }
 
+// The retry budget and the watchdog deadline are range-checked by the
+// driver itself, not only by AcceleratorConfig::validate: CLI overrides
+// (--retries, --deadline) reach run_sweep without passing the config.
+TEST(Sweep, InvalidAttemptsOrDeadlineAreRejected) {
+  struct Case {
+    int max_attempts;
+    double deadline_ms;
+  };
+  for (const Case c : {Case{0, 0.0}, Case{-2, 0.0}, Case{1, -1.0},
+                       Case{1, std::numeric_limits<double>::infinity()},
+                       Case{1, std::nan("")}, Case{1, 2e9}}) {
+    SweepOptions options;
+    options.max_attempts = c.max_attempts;
+    options.point_deadline_ms = c.deadline_ms;
+    try {
+      (void)run_sweep(small_net(), base_config(1), small_space(), options);
+      FAIL() << "expected MN-DSE-004 for max_attempts " << c.max_attempts
+             << ", deadline " << c.deadline_ms << " ms";
+    } catch (const check::CheckError& e) {
+      EXPECT_EQ(diag_code(e), "MN-DSE-004");
+    }
+  }
+}
+
+// One set of DSE counter names for every front end: the sweep publishes
+// the design/feasible/failed totals that the observability docs list.
+TEST(Sweep, PublishesDesignPointCounters) {
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  const long points0 = reg.counter("dse.design_points");
+  const long feasible0 = reg.counter("dse.feasible_points");
+  const long failed0 = reg.counter("dse.failed_points");
+
+  SweepOptions options;
+  options.max_attempts = 1;
+  options.evaluator = [](const DesignPoint& p,
+                         std::size_t) -> EvaluatedDesign {
+    if (p.crossbar_size == 4) throw std::runtime_error("synthetic failure");
+    EvaluatedDesign d;
+    d.point = p;
+    d.feasible = p.parallelism == 1;
+    return d;
+  };
+  const SweepResult sweep =
+      run_sweep(small_net(), base_config(2), small_space(), options);
+  EXPECT_EQ(sweep.result.feasible_count, 2);
+  EXPECT_EQ(sweep.result.failed_count, 4);
+  EXPECT_EQ(reg.counter("dse.design_points") - points0,
+            static_cast<long>(sweep.records.size()));
+  EXPECT_EQ(reg.counter("dse.feasible_points") - feasible0,
+            sweep.result.feasible_count);
+  EXPECT_EQ(reg.counter("dse.failed_points") - failed0,
+            sweep.result.failed_count);
+}
+
 // ---- sharding + merge -------------------------------------------------------
 
 TEST(Merge, ThreeShardsEqualSingleProcess) {
   TempDir tmp;
   const auto net = small_net();
   const auto space = small_space();
-  const auto explored = explore(net, base_config(1), space, constraints());
+  const auto explored =
+      serial_reference(net, base_config(1), space, constraints());
 
   std::vector<std::string> journals;
   for (int s = 0; s < 3; ++s) {
@@ -434,8 +518,8 @@ TEST(Quarantine, AllPointsFailedEmitsDiagnosticAndCounts) {
   EXPECT_EQ(sweep.failed_check, 0);
   EXPECT_EQ(sweep.failed_timeout, 0);
   EXPECT_EQ(sweep.retried_count, 8 * 2);  // max_attempts - 1 extra tries
-  ASSERT_FALSE(sweep.diagnostics.empty());
-  EXPECT_EQ(sweep.diagnostics[0].code, "MN-DSE-006");
+  ASSERT_FALSE(sweep.result.diagnostics.empty());
+  EXPECT_EQ(sweep.result.diagnostics[0].code, "MN-DSE-006");
   // The report carries the category breakdown.
   const std::string json = sweep_report_json(sweep, small_net());
   EXPECT_NE(json.find("\"numeric\": 8"), std::string::npos);

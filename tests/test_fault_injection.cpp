@@ -535,6 +535,10 @@ TEST(DseFlow, ThrowingPointIsRecordedNotFatal) {
   EXPECT_FALSE(result.designs[0].evaluated);
   EXPECT_FALSE(result.designs[0].feasible);
   EXPECT_FALSE(result.designs[0].failure.empty());
+  // Every point of this one-point space failed: the exploration says so
+  // with a typed diagnostic instead of throwing.
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(result.diagnostics[0].code, "MN-DSE-006");
 }
 
 }  // namespace
