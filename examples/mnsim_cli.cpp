@@ -51,7 +51,6 @@
 // With no arguments, simulates a built-in demo MLP under the defaults.
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -237,7 +236,8 @@ int run_sweep_cmd(int argc, char** argv) {
       if (!parse_number(argv[++i], retries)) return usage();
       have_retries = true;
     } else if (arg == "--error" && i + 1 < argc) {
-      constraint = std::atof(argv[++i]) / 100.0;
+      if (!parse_number(argv[++i], constraint)) return usage();
+      constraint /= 100.0;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
@@ -382,8 +382,11 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg == "--dse") {
         want_dse = true;
-        if (i + 1 < argc && std::atof(argv[i + 1]) > 0)
-          constraint = std::atof(argv[++i]) / 100.0;
+        double pct = 0.0;
+        if (i + 1 < argc && parse_number(argv[i + 1], pct) && pct > 0) {
+          constraint = pct / 100.0;
+          ++i;
+        }
       } else if (arg == "--pipeline") {
         want_pipeline = true;
       } else if (arg == "--cycle") {

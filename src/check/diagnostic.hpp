@@ -39,6 +39,10 @@ struct Diagnostic {
   // GCC-style one-liner: `file:line: severity: message [code]`, followed
   // by a `note:` line when a hint is present.
   [[nodiscard]] std::string render() const;
+  // One JSON object {code, severity, message, file, line, location,
+  // hint}: the record layout shared by `mnsim check --json` and the
+  // diagnostics arrays of the sim and sweep reports.
+  [[nodiscard]] std::string render_json() const;
 };
 
 class DiagnosticList {
@@ -76,7 +80,7 @@ class DiagnosticList {
   // All diagnostics, one render() per entry, plus a trailing summary
   // line when non-empty ("2 errors, 1 warning generated.").
   [[nodiscard]] std::string render_text() const;
-  // JSON array of {code, severity, message, file, line, location, hint}.
+  // JSON array of Diagnostic::render_json() records.
   [[nodiscard]] std::string render_json() const;
   [[nodiscard]] std::string summary() const;
 

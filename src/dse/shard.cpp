@@ -17,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cancel.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_safety.hpp"
 
@@ -593,36 +594,14 @@ SweepResult merge_checkpoints(const std::vector<std::string>& paths,
 
 // ---- JSON report ------------------------------------------------------------
 
-namespace {
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out + "\"";
-}
-
-}  // namespace
+using util::json_number;
+using util::json_quote;
 
 std::string sweep_report_json(const SweepResult& sweep,
                               const nn::Network& network) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"network\": {\"name\": " << quote(network.name)
+  os << "  \"network\": {\"name\": " << json_quote(network.name)
      << ", \"depth\": " << network.depth()
      << ", \"weights\": " << network.total_weights() << "},\n";
   os << "  \"sweep\": {"
@@ -630,7 +609,8 @@ std::string sweep_report_json(const SweepResult& sweep,
      << ", \"shard_count\": " << sweep.header.shard_count
      << ", \"total_points\": " << sweep.header.total_points
      << ", \"shard_points\": " << sweep.records.size()
-     << ", \"error_constraint\": " << num(sweep.result.error_constraint)
+     << ", \"error_constraint\": "
+     << json_number(sweep.result.error_constraint)
      << ", \"feasible\": " << sweep.result.feasible_count
      << ", \"resumed\": " << sweep.resumed_count
      << ", \"evaluated\": " << sweep.evaluated_count
@@ -652,18 +632,19 @@ std::string sweep_report_json(const SweepResult& sweep,
        << ", \"interconnect_node\": " << d.point.interconnect_node
        << ", \"evaluated\": " << (d.evaluated ? 1 : 0)
        << ", \"feasible\": " << (d.feasible ? 1 : 0)
-       << ", \"category\": " << quote(failure_category_name(r.category))
+       << ", \"category\": " << json_quote(failure_category_name(r.category))
        << ", \"attempts\": " << r.attempts
-       << ", \"area\": " << num(d.metrics.area)
-       << ", \"energy_per_sample\": " << num(d.metrics.energy_per_sample)
-       << ", \"latency\": " << num(d.metrics.latency)
-       << ", \"sample_latency\": " << num(d.metrics.sample_latency)
-       << ", \"power\": " << num(d.metrics.power)
-       << ", \"max_error_rate\": " << num(d.metrics.max_error_rate)
-       << ", \"avg_error_rate\": " << num(d.metrics.avg_error_rate)
+       << ", \"area\": " << json_number(d.metrics.area)
+       << ", \"energy_per_sample\": "
+       << json_number(d.metrics.energy_per_sample)
+       << ", \"latency\": " << json_number(d.metrics.latency)
+       << ", \"sample_latency\": " << json_number(d.metrics.sample_latency)
+       << ", \"power\": " << json_number(d.metrics.power)
+       << ", \"max_error_rate\": " << json_number(d.metrics.max_error_rate)
+       << ", \"avg_error_rate\": " << json_number(d.metrics.avg_error_rate)
        << ", \"solver_fallbacks\": " << d.metrics.solver_fallbacks
        << ", \"faults_injected\": " << d.metrics.faults_injected
-       << ", \"failure\": " << quote(d.failure) << "}";
+       << ", \"failure\": " << json_quote(d.failure) << "}";
   }
   os << (sweep.records.empty() ? "" : "\n  ") << "],\n";
 
@@ -675,22 +656,19 @@ std::string sweep_report_json(const SweepResult& sweep,
        << "    {\"crossbar_size\": " << d.point.crossbar_size
        << ", \"parallelism\": " << d.point.parallelism
        << ", \"interconnect_node\": " << d.point.interconnect_node
-       << ", \"area\": " << num(d.metrics.area)
-       << ", \"energy_per_sample\": " << num(d.metrics.energy_per_sample)
-       << ", \"latency\": " << num(d.metrics.latency)
-       << ", \"max_error_rate\": " << num(d.metrics.max_error_rate) << "}";
+       << ", \"area\": " << json_number(d.metrics.area)
+       << ", \"energy_per_sample\": "
+       << json_number(d.metrics.energy_per_sample)
+       << ", \"latency\": " << json_number(d.metrics.latency)
+       << ", \"max_error_rate\": " << json_number(d.metrics.max_error_rate)
+       << "}";
   }
   os << (pareto.empty() ? "" : "\n  ") << "],\n";
 
   os << "  \"diagnostics\": [";
   const std::vector<check::Diagnostic>& diags = sweep.result.diagnostics;
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const check::Diagnostic& diag = diags[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"code\": " << quote(diag.code)
-       << ", \"severity\": " << quote(check::severity_name(diag.severity))
-       << ", \"message\": " << quote(diag.message)
-       << ", \"hint\": " << quote(diag.hint) << "}";
-  }
+  for (std::size_t i = 0; i < diags.size(); ++i)
+    os << (i == 0 ? "\n    " : ",\n    ") << diags[i].render_json();
   os << (diags.empty() ? "" : "\n  ") << "]\n";
   os << "}\n";
   return os.str();

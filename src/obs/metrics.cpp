@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/json.hpp"
+
 namespace mnsim::obs {
 
 Registry& Registry::global() {
@@ -70,25 +72,6 @@ void Registry::reset() {
   histograms_.clear();
 }
 
-namespace {
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 Registry::Snapshot Registry::snapshot() const {
   Snapshot snap;
   const util::MutexLock lock(mutex_);
@@ -99,6 +82,8 @@ Registry::Snapshot Registry::snapshot() const {
 }
 
 std::string Registry::to_json() const {
+  using util::json_number;
+  using util::json_quote;
   const Snapshot snap = snapshot();
   const auto& counters = snap.counters;
   const auto& gauges = snap.gauges;
@@ -106,22 +91,24 @@ std::string Registry::to_json() const {
   std::string out = "{\"counters\": {";
   bool first = true;
   for (const auto& [name, value] : counters) {
-    out += (first ? "" : ", ") + quote(name) + ": " + std::to_string(value);
+    out += (first ? "" : ", ") + json_quote(name) + ": " +
+           std::to_string(value);
     first = false;
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
-    out += (first ? "" : ", ") + quote(name) + ": " + num(value);
+    out += (first ? "" : ", ") + json_quote(name) + ": " + json_number(value);
     first = false;
   }
   out += "}, \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
-    out += (first ? "" : ", ") + quote(name) +
+    out += (first ? "" : ", ") + json_quote(name) +
            ": {\"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + num(h.sum) + ", \"min\": " + num(h.min) +
-           ", \"max\": " + num(h.max) + "}";
+           ", \"sum\": " + json_number(h.sum) +
+           ", \"min\": " + json_number(h.min) +
+           ", \"max\": " + json_number(h.max) + "}";
     first = false;
   }
   out += "}}";

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace mnsim::obs {
 
@@ -19,17 +20,6 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// JSON string escaping for names (span names are literals, thread names
-// are caller-provided).
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out + "\"";
 }
 
 }  // namespace
@@ -165,7 +155,7 @@ std::string Tracer::chrome_trace_json() const {
     out += "  {\"ph\": \"M\", \"pid\": 1, \"tid\": ";
     out += num;
     out += ", \"name\": \"thread_name\", \"args\": {\"name\": " +
-           json_quote(name) + "}}";
+           util::json_quote(name) + "}}";
   }
   for (const TraceEvent& e : events()) {
     out += first ? "\n" : ",\n";
@@ -174,7 +164,7 @@ std::string Tracer::chrome_trace_json() const {
                   static_cast<double>(e.start_ns) / 1000.0);
     out += "  {\"ph\": \"X\", \"pid\": 1, \"tid\": " +
            std::to_string(e.thread) + ", \"cat\": \"mnsim\", \"name\": " +
-           json_quote(e.name) + ", \"ts\": " + num;
+           util::json_quote(e.name) + ", \"ts\": " + num;
     std::snprintf(num, sizeof(num), "%.3f",
                   static_cast<double>(e.duration_ns) / 1000.0);
     out += std::string(", \"dur\": ") + num + "}";

@@ -1,57 +1,33 @@
 #include "sim/json_report.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace mnsim::sim {
 
-namespace {
-
-std::string num(double v) {
-  // Shortest round-trip-exact representation.
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-}  // namespace
-
-std::string report_to_json(const nn::Network& network,
-                           const arch::AcceleratorReport& report) {
-  return report_to_json(network, report, nullptr);
-}
+using util::json_number;
+using util::json_quote;
 
 std::string report_to_json(const nn::Network& network,
                            const arch::AcceleratorReport& report,
                            const arch::CycleSimResult* cycles) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"network\": {\"name\": " << quote(network.name)
+  os << "  \"network\": {\"name\": " << json_quote(network.name)
      << ", \"depth\": " << network.depth()
      << ", \"weights\": " << network.total_weights() << "},\n";
   os << "  \"totals\": {"
-     << "\"area\": " << num(report.area)
-     << ", \"power\": " << num(report.power)
-     << ", \"leakage_power\": " << num(report.leakage_power)
-     << ", \"energy_per_sample\": " << num(report.energy_per_sample)
-     << ", \"sample_latency\": " << num(report.sample_latency)
-     << ", \"pipeline_cycle\": " << num(report.pipeline_cycle)
-     << ", \"max_error_rate\": " << num(report.max_error_rate)
-     << ", \"avg_error_rate\": " << num(report.avg_error_rate)
-     << ", \"relative_accuracy\": " << num(report.relative_accuracy)
+     << "\"area\": " << json_number(report.area)
+     << ", \"power\": " << json_number(report.power)
+     << ", \"leakage_power\": " << json_number(report.leakage_power)
+     << ", \"energy_per_sample\": " << json_number(report.energy_per_sample)
+     << ", \"sample_latency\": " << json_number(report.sample_latency)
+     << ", \"pipeline_cycle\": " << json_number(report.pipeline_cycle)
+     << ", \"max_error_rate\": " << json_number(report.max_error_rate)
+     << ", \"avg_error_rate\": " << json_number(report.avg_error_rate)
+     << ", \"relative_accuracy\": " << json_number(report.relative_accuracy)
      << ", \"total_units\": " << report.total_units
      << ", \"total_crossbars\": " << report.total_crossbars << "},\n";
 
@@ -61,12 +37,12 @@ std::string report_to_json(const nn::Network& network,
   const auto& d = report.solver;
   os << "  \"solver_diagnostics\": {"
      << "\"newton_iterations\": " << d.newton_iterations
-     << ", \"newton_residual\": " << num(d.newton_residual)
+     << ", \"newton_residual\": " << json_number(d.newton_residual)
      << ", \"cg_iterations\": " << d.cg_iterations
      << ", \"cg_retries\": " << d.cg_retries
      << ", \"lu_fallbacks\": " << d.lu_fallbacks
      << ", \"damped_steps\": " << d.damped_steps
-     << ", \"linear_residual\": " << num(d.linear_residual)
+     << ", \"linear_residual\": " << json_number(d.linear_residual)
      << ", \"faults_injected\": " << d.faults_injected
      << ", \"cache_hits\": " << d.cache_hits
      << ", \"warm_starts\": " << d.warm_starts
@@ -74,40 +50,34 @@ std::string report_to_json(const nn::Network& network,
      << ", \"schur_iterations\": " << d.schur_iterations
      << ", \"schur_rejects\": " << d.schur_rejects
      << ", \"factor_reuses\": " << d.factor_reuses
-     << ", \"condition_estimate\": " << num(d.condition_estimate)
+     << ", \"condition_estimate\": " << json_number(d.condition_estimate)
      << ", \"threads\": " << d.threads
      << ", \"degraded\": " << (d.degraded() ? 1 : 0) << "},\n";
   const auto& f = report.fault_config;
   os << "  \"fault_model\": {"
      << "\"enabled\": " << (f.enabled() ? 1 : 0)
      << ", \"seed\": " << f.seed
-     << ", \"stuck_at_zero_rate\": " << num(f.stuck_at_zero_rate)
-     << ", \"stuck_at_one_rate\": " << num(f.stuck_at_one_rate)
-     << ", \"broken_wordline_rate\": " << num(f.broken_wordline_rate)
-     << ", \"broken_bitline_rate\": " << num(f.broken_bitline_rate)
-     << ", \"retention_time\": " << num(f.retention_time)
+     << ", \"stuck_at_zero_rate\": " << json_number(f.stuck_at_zero_rate)
+     << ", \"stuck_at_one_rate\": " << json_number(f.stuck_at_one_rate)
+     << ", \"broken_wordline_rate\": " << json_number(f.broken_wordline_rate)
+     << ", \"broken_bitline_rate\": " << json_number(f.broken_bitline_rate)
+     << ", \"retention_time\": " << json_number(f.retention_time)
      << ", \"circuit_check\": " << (f.circuit_check ? 1 : 0) << "},\n";
 
   // Pre-flight analyzer findings that rode along with the run (errors
-  // would have thrown before a report existed). Same record layout as
-  // `mnsim check --json`.
+  // would have thrown before a report existed).
   os << "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const auto& diag = report.diagnostics[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"code\": " << quote(diag.code)
-       << ", \"severity\": "
-       << quote(check::severity_name(diag.severity))
-       << ", \"message\": " << quote(diag.message)
-       << ", \"file\": " << quote(diag.file) << ", \"line\": " << diag.line
-       << ", \"location\": " << quote(diag.location)
-       << ", \"hint\": " << quote(diag.hint) << "}";
-  }
+  for (std::size_t i = 0; i < report.diagnostics.size(); ++i)
+    os << (i == 0 ? "\n    " : ",\n    ")
+       << report.diagnostics[i].render_json();
   os << (report.diagnostics.empty() ? "" : "\n  ") << "],\n";
 
   auto item = [&](const char* name, const arch::BreakdownItem& it,
                   bool last = false) {
-    os << "    " << quote(name) << ": {\"area\": " << num(it.area)
-       << ", \"energy\": " << num(it.energy) << "}" << (last ? "\n" : ",\n");
+    os << "    " << json_quote(name)
+       << ": {\"area\": " << json_number(it.area)
+       << ", \"energy\": " << json_number(it.energy) << "}"
+       << (last ? "\n" : ",\n");
   };
   os << "  \"breakdown\": {\n";
   item("crossbars", report.breakdown.crossbars);
@@ -126,12 +96,12 @@ std::string report_to_json(const nn::Network& network,
   for (std::size_t b = 0; b < report.banks.size(); ++b) {
     const auto& bank = report.banks[b];
     os << "    {\"units\": " << bank.mapping.unit_count
-       << ", \"area\": " << num(bank.area)
-       << ", \"energy_per_sample\": " << num(bank.energy_per_sample)
-       << ", \"pass_latency\": " << num(bank.pass_latency)
+       << ", \"area\": " << json_number(bank.area)
+       << ", \"energy_per_sample\": " << json_number(bank.energy_per_sample)
+       << ", \"pass_latency\": " << json_number(bank.pass_latency)
        << ", \"iterations\": " << bank.iterations
-       << ", \"epsilon_worst\": " << num(bank.epsilon_worst)
-       << ", \"epsilon_average\": " << num(bank.epsilon_average) << "}"
+       << ", \"epsilon_worst\": " << json_number(bank.epsilon_worst)
+       << ", \"epsilon_average\": " << json_number(bank.epsilon_average) << "}"
        << (b + 1 < report.banks.size() ? "," : "") << "\n";
   }
   os << "  ]";
@@ -142,19 +112,22 @@ std::string report_to_json(const nn::Network& network,
   if (cycles != nullptr) {
     const auto& c = *cycles;
     os << ",\n  \"cycle\": {\n"
-       << "    \"dataflow\": " << quote(arch::dataflow_name(c.dataflow))
-       << ", \"fill_policy\": " << quote(arch::fill_policy_name(c.fill_policy))
-       << ", \"clock_hz\": " << num(c.clock_hz)
+       << "    \"dataflow\": " << json_quote(arch::dataflow_name(c.dataflow))
+       << ", \"fill_policy\": "
+       << json_quote(arch::fill_policy_name(c.fill_policy))
+       << ", \"clock_hz\": " << json_number(c.clock_hz)
        << ", \"makespan_cycles\": " << c.makespan_cycles
-       << ", \"makespan_seconds\": " << num(c.makespan_seconds)
+       << ", \"makespan_seconds\": " << json_number(c.makespan_seconds)
        << ", \"total_tiles\": " << c.total_tiles
        << ", \"total_busy_cycles\": " << c.total_busy_cycles
        << ", \"total_stall_cycles\": " << c.total_stall_cycles
-       << ", \"backing_traffic_bytes\": " << num(c.backing_traffic_bytes)
-       << ", \"weight_image_bytes\": " << num(c.weight_image_bytes)
-       << ", \"pe_scheduled_fraction\": " << num(c.pe_scheduled_fraction)
-       << ", \"pe_active_fraction\": " << num(c.pe_active_fraction)
-       << ", \"stall_fraction\": " << num(c.stall_fraction) << ",\n"
+       << ", \"backing_traffic_bytes\": "
+       << json_number(c.backing_traffic_bytes)
+       << ", \"weight_image_bytes\": " << json_number(c.weight_image_bytes)
+       << ", \"pe_scheduled_fraction\": "
+       << json_number(c.pe_scheduled_fraction)
+       << ", \"pe_active_fraction\": " << json_number(c.pe_active_fraction)
+       << ", \"stall_fraction\": " << json_number(c.stall_fraction) << ",\n"
        << "    \"banks\": [\n";
     for (std::size_t b = 0; b < c.banks.size(); ++b) {
       const auto& bank = c.banks[b];
@@ -165,10 +138,10 @@ std::string report_to_json(const nn::Network& network,
          << ", \"fill_stall_cycles\": " << bank.fill_stall_cycles
          << ", \"drain_stall_cycles\": " << bank.drain_stall_cycles
          << ", \"idle_cycles\": " << bank.idle_cycles
-         << ", \"utilization\": " << num(bank.utilization)
-         << ", \"ifmap_bytes\": " << num(bank.ifmap_bytes)
-         << ", \"ofmap_bytes\": " << num(bank.ofmap_bytes)
-         << ", \"filter_bytes\": " << num(bank.filter_bytes)
+         << ", \"utilization\": " << json_number(bank.utilization)
+         << ", \"ifmap_bytes\": " << json_number(bank.ifmap_bytes)
+         << ", \"ofmap_bytes\": " << json_number(bank.ofmap_bytes)
+         << ", \"filter_bytes\": " << json_number(bank.filter_bytes)
          << ", \"bus_busy_cycles\": " << bank.bus_busy_cycles
          << ", \"resident_ifmap\": " << (bank.resident_ifmap ? 1 : 0)
          << ", \"resident_ofmap\": " << (bank.resident_ofmap ? 1 : 0) << "}"
@@ -185,140 +158,6 @@ std::string report_to_json(const nn::Network& network,
     os << ",\n  \"metrics\": " << reg.to_json();
   os << "\n}\n";
   return os.str();
-}
-
-namespace {
-
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  void parse(std::map<std::string, double>& out) {
-    skip_ws();
-    value("", out);
-    skip_ws();
-    if (pos_ != text_.size())
-      throw std::runtime_error("json: trailing characters");
-  }
-
- private:
-  void value(const std::string& path, std::map<std::string, double>& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) throw std::runtime_error("json: truncated");
-    const char c = text_[pos_];
-    if (c == '{') {
-      object(path, out);
-    } else if (c == '[') {
-      array(path, out);
-    } else if (c == '"') {
-      (void)string();
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      literal();
-    } else {
-      out[path] = number();
-    }
-  }
-
-  void object(const std::string& path, std::map<std::string, double>& out) {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = string();
-      skip_ws();
-      expect(':');
-      value(path.empty() ? key : path + "." + key, out);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  void array(const std::string& path, std::map<std::string, double>& out) {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    int index = 0;
-    while (true) {
-      value(path + "." + std::to_string(index++), out);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string s;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      s += text_[pos_++];
-    }
-    expect('"');
-    return s;
-  }
-
-  double number() {
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) throw std::runtime_error("json: expected number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  void literal() {
-    for (const char* word : {"true", "false", "null"}) {
-      const std::size_t len = std::string(word).size();
-      if (text_.compare(pos_, len, word) == 0) {
-        pos_ += len;
-        return;
-      }
-    }
-    throw std::runtime_error("json: bad literal");
-  }
-
-  char peek() const {
-    if (pos_ >= text_.size()) throw std::runtime_error("json: truncated");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      throw std::runtime_error(std::string("json: expected '") + c + "'");
-    ++pos_;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::map<std::string, double> parse_json_numbers(const std::string& json) {
-  std::map<std::string, double> out;
-  JsonScanner scanner(json);
-  scanner.parse(out);
-  return out;
 }
 
 }  // namespace mnsim::sim

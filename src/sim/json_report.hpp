@@ -3,11 +3,10 @@
 // Serializes an AcceleratorReport (with its network context) to JSON so
 // downstream tooling — plotting scripts, regression dashboards, design
 // databases — can consume MNSIM results without parsing the ASCII
-// tables. The writer emits a stable key layout; a minimal reader is
-// provided for round-trip testing and for loading archived results.
+// tables. The writer emits a stable key layout; util::parse_json_numbers
+// reads it back for round-trip testing and for loading archived results.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "arch/accelerator.hpp"
@@ -22,14 +21,6 @@ namespace mnsim::sim {
 // decomposition and per-bank traffic rides along.
 std::string report_to_json(const nn::Network& network,
                            const arch::AcceleratorReport& report,
-                           const arch::CycleSimResult* cycles);
-std::string report_to_json(const nn::Network& network,
-                           const arch::AcceleratorReport& report);
-
-// Minimal JSON reader for the flat numeric fields this writer emits:
-// returns dotted-path -> number (e.g. "totals.area", "banks.0.area").
-// Strings and booleans are skipped. Throws std::runtime_error on
-// malformed input.
-std::map<std::string, double> parse_json_numbers(const std::string& json);
+                           const arch::CycleSimResult* cycles = nullptr);
 
 }  // namespace mnsim::sim

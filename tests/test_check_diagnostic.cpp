@@ -85,12 +85,16 @@ TEST(DiagnosticList, JsonEscapesAndListsAllFields) {
   auto& d = list.emit("MN-CFG-003", Severity::kWarning, "bad \"value\"\n");
   d.file = "a\\b.ini";
   d.line = 3;
+  d.location = "1T1R\x0bX";
+  d.hint = "le\x01net";
   const std::string json = list.render_json();
   EXPECT_NE(json.find("\"code\": \"MN-CFG-003\""), std::string::npos);
   EXPECT_NE(json.find("\"severity\": \"warning\""), std::string::npos);
   EXPECT_NE(json.find("bad \\\"value\\\"\\n"), std::string::npos);
   EXPECT_NE(json.find("a\\\\b.ini"), std::string::npos);
   EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
+  EXPECT_NE(json.find("1T1R\\u000bX"), std::string::npos);
+  EXPECT_NE(json.find("le\\u0001net"), std::string::npos);
 }
 
 TEST(CheckError, HeadlinesFirstErrorAndCarriesAll) {

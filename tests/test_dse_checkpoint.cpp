@@ -19,6 +19,7 @@
 #include "nn/topologies.hpp"
 #include "obs/metrics.hpp"
 #include "util/cancel.hpp"
+#include "util/json.hpp"
 
 namespace mnsim::dse {
 namespace {
@@ -524,6 +525,28 @@ TEST(Quarantine, AllPointsFailedEmitsDiagnosticAndCounts) {
   const std::string json = sweep_report_json(sweep, small_net());
   EXPECT_NE(json.find("\"numeric\": 8"), std::string::npos);
   EXPECT_NE(json.find("MN-DSE-006"), std::string::npos);
+}
+
+// The report is strict JSON even for a non-finite constraint, and its
+// diagnostics use the full `mnsim check --json` record.
+TEST(Quarantine, ReportIsStrictJsonWithFullDiagnosticRecords) {
+  SweepOptions options;
+  options.constraints.max_error = std::numeric_limits<double>::infinity();
+  options.evaluator = [](const DesignPoint&, std::size_t) -> EvaluatedDesign {
+    throw std::runtime_error("synthetic numeric failure");
+  };
+  const SweepResult sweep =
+      run_sweep(small_net(), base_config(1), small_space(), options);
+  ASSERT_FALSE(sweep.result.diagnostics.empty());
+  const std::string json = sweep_report_json(sweep, small_net());
+  EXPECT_NO_THROW(util::parse_json_numbers(json));
+  EXPECT_NE(json.find("\"error_constraint\": null"), std::string::npos);
+  const std::size_t record = json.find("{\"code\": \"MN-DSE-006\"");
+  ASSERT_NE(record, std::string::npos);
+  const std::string diag = json.substr(record, json.find('}', record) - record);
+  EXPECT_NE(diag.find("\"file\": "), std::string::npos);
+  EXPECT_NE(diag.find("\"line\": "), std::string::npos);
+  EXPECT_NE(diag.find("\"location\": "), std::string::npos);
 }
 
 TEST(Quarantine, CheckFailuresAreNeverRetried) {

@@ -10,6 +10,7 @@
 #include "nn/topologies.hpp"
 #include "sim/json_report.hpp"
 #include "spice/crossbar_netlist.hpp"
+#include "util/json.hpp"
 
 namespace mnsim::fault {
 namespace {
@@ -449,7 +450,7 @@ TEST(ArchFlow, CircuitCheckRecordsSolverDiagnostics) {
 
   // The JSON report must carry the full diagnostics + fault blocks.
   const auto json = sim::report_to_json(net, rep);
-  const auto values = sim::parse_json_numbers(json);
+  const auto values = util::parse_json_numbers(json);
   EXPECT_GT(values.at("solver_diagnostics.lu_fallbacks") +
                 values.at("solver_diagnostics.cg_retries"),
             0.0);

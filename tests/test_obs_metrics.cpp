@@ -9,8 +9,8 @@
 #include <cstdlib>
 #include <string>
 
-#include "sim/json_report.hpp"
 #include "spice/mna.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 
 namespace mnsim::obs {
@@ -66,7 +66,7 @@ TEST(Metrics, JsonExportIsValidAndComplete) {
   reg.observe("spice.linear_residual", 3e-12);
 
   const std::string json = reg.to_json();
-  const auto numbers = sim::parse_json_numbers(json);
+  const auto numbers = util::parse_json_numbers(json);
   EXPECT_DOUBLE_EQ(numbers.at("counters.spice.solves"), 7.0);
   EXPECT_DOUBLE_EQ(numbers.at("gauges.sweep.progress"), 0.25);
   EXPECT_DOUBLE_EQ(numbers.at("histograms.spice.linear_residual.count"),
@@ -81,7 +81,7 @@ TEST(Metrics, JsonExportIsValidAndComplete) {
 
 TEST(Metrics, EmptyRegistryStillExportsValidJson) {
   Registry reg;
-  EXPECT_NO_THROW(sim::parse_json_numbers(reg.to_json()));
+  EXPECT_NO_THROW(util::parse_json_numbers(reg.to_json()));
 }
 
 TEST(Metrics, TextFormatListsEveryMetric) {

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/json_report.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 
 namespace mnsim::obs {
@@ -154,7 +154,7 @@ TEST_F(TraceTest, ChromeTraceJsonIsWellFormed) {
   const std::string json = Tracer::instance().chrome_trace_json();
   // parse_json_numbers throws on malformed JSON, so a clean parse is the
   // schema-validity check; then pin the Chrome-trace fields.
-  const auto numbers = sim::parse_json_numbers(json);
+  const auto numbers = util::parse_json_numbers(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"mnsim\""), std::string::npos);
@@ -168,7 +168,7 @@ TEST_F(TraceTest, ChromeTraceJsonIsWellFormed) {
 
 TEST_F(TraceTest, EmptyTraceStillExportsValidJson) {
   const std::string json = Tracer::instance().chrome_trace_json();
-  EXPECT_NO_THROW(sim::parse_json_numbers(json));
+  EXPECT_NO_THROW(util::parse_json_numbers(json));
 }
 
 TEST_F(TraceTest, ResetMidSpanDropsTheSpanSafely) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "nn/topologies.hpp"
+#include "util/json.hpp"
 
 namespace mnsim::sim {
 namespace {
+
+using util::parse_json_numbers;
 
 arch::AcceleratorReport make_report(nn::Network& net) {
   net = nn::make_autoencoder_64_16_64();
@@ -41,6 +46,28 @@ TEST(JsonReport, BankCountMatches) {
   EXPECT_EQ(banks, 2);
 }
 
+TEST(JsonReport, ControlCharactersInNamesAreEscaped) {
+  nn::Network net;
+  auto rep = make_report(net);
+  net.name = "le\x01net";
+  const std::string json = report_to_json(net, rep);
+  EXPECT_NO_THROW(parse_json_numbers(json));
+  EXPECT_NE(json.find("le\\u0001net"), std::string::npos);
+}
+
+TEST(JsonText, EscapesControlBytesAndNullsNonFinite) {
+  EXPECT_EQ(util::json_quote("a\"b\\c\b\f\n\r\t\x1f\x7f"),
+            "\"a\\\"b\\\\c\\b\\f\\n\\r\\t\\u001f\x7f\"");
+  EXPECT_EQ(util::json_number(0.1), "0.10000000000000001");
+  EXPECT_EQ(util::json_number(-2.0), "-2");
+  EXPECT_EQ(util::json_number(std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(util::json_number(-std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(util::json_number(std::numeric_limits<double>::quiet_NaN()),
+            "null");
+}
+
 TEST(JsonParser, HandlesNestedStructures) {
   const auto v = parse_json_numbers(
       R"({"a": 1, "b": {"c": 2.5, "d": [3, {"e": -4e-3}]},
@@ -63,6 +90,13 @@ TEST(JsonParser, MalformedInputThrows) {
   EXPECT_THROW(parse_json_numbers(R"({"a" 1})"), std::runtime_error);
   EXPECT_THROW(parse_json_numbers(R"({"a": bogus})"), std::runtime_error);
   EXPECT_THROW(parse_json_numbers(R"({"a": 1} extra)"), std::runtime_error);
+  // Tokens strtod would accept but JSON does not.
+  EXPECT_THROW(parse_json_numbers(R"({"a": inf})"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers(R"({"a": nan})"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers(R"({"a": 0x10})"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers(R"({"a": +1})"), std::runtime_error);
+  EXPECT_THROW(parse_json_numbers("{\"a\": \"raw\x01byte\"}"),
+               std::runtime_error);
 }
 
 }  // namespace
