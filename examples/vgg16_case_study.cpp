@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "arch/controller.hpp"
+#include "arch/cycle_sim.hpp"
 #include "arch/pipeline.hpp"
-#include "arch/trace_sim.hpp"
 #include "sim/mnsim.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -56,18 +56,25 @@ int main() {
               program.size(),
               arch::program_latency(program, config) / ms);
 
-  // Cross-check the analytic pipeline against the discrete-event trace
-  // simulation of every matrix-vector pass.
+  // Cross-check the analytic pipeline against the cycle engine, which
+  // schedules every matrix-vector pass. Scratchpads and bandwidth are
+  // sized never to stall, so only the inter-bank dependencies remain.
   const auto pipe = arch::analyze_pipeline(report);
-  const auto schedule = arch::simulate_trace(report);
+  arch::AcceleratorConfig ideal = config;
+  ideal.cycle_ifmap_kb = 1e5;
+  ideal.cycle_filter_kb = 1e5;
+  ideal.cycle_ofmap_kb = 1e5;
+  ideal.cycle_bandwidth_gbps = 1e6;
+  const auto schedule = arch::simulate_cycles(report, ideal);
   std::printf(
       "\npipeline cross-check: analytic fill+bottleneck %.1f us vs "
       "simulated makespan %.1f us (%ld passes scheduled); bottleneck bank "
       "%d runs at %.1f%% utilization\n",
       (pipe.fill_latency + pipe.sample_interval) / us,
-      schedule.makespan / us, schedule.total_passes, pipe.bottleneck_bank,
-      100.0 * schedule.bank_utilization[static_cast<std::size_t>(
-                  pipe.bottleneck_bank)]);
+      schedule.makespan_seconds / us, schedule.total_tiles,
+      pipe.bottleneck_bank,
+      100.0 * schedule.banks[static_cast<std::size_t>(pipe.bottleneck_bank)]
+                  .utilization);
 
   // A coarser-wire alternative: better accuracy, larger arrays.
   arch::AcceleratorConfig accurate = config;

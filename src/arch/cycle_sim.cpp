@@ -10,15 +10,9 @@
 namespace mnsim::arch {
 namespace {
 
-// Integer cycles of one matrix-vector pass. A scheduled pass occupies at
-// least one cycle so zero-latency degenerate banks still serialize.
-long pass_cycles(double latency, double clock_hz) {
-  return std::max<long>(1, std::llround(latency * clock_hz));
-}
-
 // Upstream tiles that must have drained before tile k of a `passes`-tile
-// bank may start: the producer's warm-up plus the proportional streamed
-// share — the trace simulator's Eq. 6 dependency rule.
+// bank may start: the producer's Eq. 6 warm-up plus the proportional
+// share of its remaining tiles; a one-tile bank needs all of them.
 long needed_upstream(long k, long passes, long up_passes, long up_warmup) {
   const long streamed =
       passes > 1 ? (k * std::max<long>(up_passes - up_warmup, 0)) /
@@ -171,7 +165,10 @@ CycleSimResult simulate_cycles(const AcceleratorReport& report,
       continue;
     }
 
-    const long cpt = pass_cycles(bank.pass_latency, clock_hz);
+    // Integer cycles of one matrix-vector pass. A scheduled pass occupies
+    // at least one cycle so zero-latency degenerate banks still serialize.
+    const long cpt =
+        std::max<long>(1, std::llround(bank.pass_latency * clock_hz));
     const double if_tile = bank.mapping.matrix_rows * elem_bytes;
     const double of_tile = bank.mapping.matrix_cols * elem_bytes;
     // Slot rings never need more slots than the bank has tiles.

@@ -1,18 +1,19 @@
 // Cycle-level discrete-event simulation of the accelerator dataflow.
 //
-// The analytic pipeline model (arch/pipeline.*) and the pass-level trace
-// (arch/trace_sim.*) assume every operand is available the instant a
-// bank needs it. This engine generalizes the trace walker into
-// tile-granular fill / compute / drain events against an explicit memory
-// hierarchy: per-bank double-buffered scratchpads (ifmap / filter /
-// ofmap; arch/scratchpad.hpp) in front of a backing store of bounded
+// The analytic pipeline model (arch/pipeline.*) assumes every operand is
+// available the instant a bank needs it. This engine schedules every
+// matrix-vector pass of one sample as tile-granular fill / compute /
+// drain events against an explicit memory hierarchy: per-bank
+// double-buffered scratchpads (ifmap / filter / ofmap;
+// arch/scratchpad.hpp) in front of a backing store of bounded
 // bandwidth, under a configurable dataflow (weight- / input- /
 // output-stationary) and fill policy (prefetch vs demand). One tile is
 // one matrix-vector pass; within a bank tiles execute in order on one
-// PE, and across banks tile k consumes the upstream warm-up plus the
-// proportional streamed share — the same dependency rule the trace
-// simulator uses, except data counts as available only once its drain
-// transfer has landed downstream.
+// PE. Across banks, tile k of a bank depends on the upstream bank's
+// Eq. 6 line-buffer warm-up plus a proportional share of its remaining
+// tiles (streamed conv), or on its entire sample (conv feeding an FC
+// bank); that upstream data counts as available once its drain
+// transfer has landed.
 //
 // Schedules are computed in integer cycles (clock auto-derived so the
 // shortest pass spans kAutoCyclesPerPass cycles, or pinned by [cycle]
@@ -35,8 +36,8 @@
 namespace mnsim::arch {
 
 // Auto-clock granularity: the shortest pass maps to this many cycles,
-// bounding quantization error of the makespan well under the 1% the
-// cycle/analytic cross-check test budgets.
+// bounding quantization error of the makespan well under the 0.5% the
+// pass-level makespan cross-check test budgets.
 inline constexpr long kAutoCyclesPerPass = 1024;
 
 struct CycleBankStats {

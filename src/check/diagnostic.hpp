@@ -90,7 +90,7 @@ class DiagnosticList {
 
 // Carries a whole analysis result through an exception: thrown by the
 // pre-flight hooks (spice::solve_dc, arch::simulate_accelerator,
-// arch::simulate_trace, dse::explore) when an input fails statically.
+// arch::simulate_cycles, dse::explore) when an input fails statically.
 class CheckError : public std::runtime_error {
  public:
   explicit CheckError(DiagnosticList diagnostics);

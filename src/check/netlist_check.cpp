@@ -15,14 +15,22 @@ using spice::Netlist;
 using spice::NodeId;
 
 std::string node_name(NodeId n) {
-  return n == kGround ? std::string("ground") : "n" + std::to_string(n);
+  if (n == kGround) return "ground";
+  std::string name = "n";
+  name += std::to_string(n);
+  return name;
 }
 
 std::string element_label(const char* kind, const std::string& name,
                           std::size_t index) {
   std::string label = kind;
   label += " ";
-  label += name.empty() ? "#" + std::to_string(index) : "'" + name + "'";
+  if (name.empty()) {
+    label += "#";
+    label += std::to_string(index);
+  } else {
+    label += "'" + name + "'";
+  }
   return label;
 }
 

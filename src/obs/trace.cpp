@@ -85,8 +85,8 @@ std::shared_ptr<internal::ThreadBuffer> Tracer::local_buffer() {
   return buffer;
 }
 
-std::vector<TraceEvent> Tracer::events() const {
-  std::vector<TraceEvent> out;
+std::vector<SpanEvent> Tracer::events() const {
+  std::vector<SpanEvent> out;
   {
     const util::MutexLock lock(mutex_);
     for (const auto& buf : buffers_) {
@@ -95,7 +95,7 @@ std::vector<TraceEvent> Tracer::events() const {
     }
   }
   std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
+                   [](const SpanEvent& a, const SpanEvent& b) {
                      if (a.start_ns != b.start_ns)
                        return a.start_ns < b.start_ns;
                      return a.duration_ns > b.duration_ns;  // parent first
@@ -115,7 +115,7 @@ std::size_t Tracer::event_count() const {
 
 std::vector<PhaseStats> Tracer::phase_stats() const {
   std::map<std::string, PhaseStats> by_name;
-  for (const TraceEvent& e : events()) {
+  for (const SpanEvent& e : events()) {
     PhaseStats& st = by_name[e.name];
     st.name = e.name;
     ++st.calls;
@@ -157,7 +157,7 @@ std::string Tracer::chrome_trace_json() const {
     out += ", \"name\": \"thread_name\", \"args\": {\"name\": " +
            util::json_quote(name) + "}}";
   }
-  for (const TraceEvent& e : events()) {
+  for (const SpanEvent& e : events()) {
     out += first ? "\n" : ",\n";
     first = false;
     std::snprintf(num, sizeof(num), "%.3f",
@@ -180,7 +180,7 @@ std::string Tracer::text_profile() const {
   std::uint64_t wall_begin = UINT64_MAX;
   std::uint64_t wall_end = 0;
   std::vector<std::uint32_t> tids;
-  for (const TraceEvent& e : evs) {
+  for (const SpanEvent& e : evs) {
     wall_begin = std::min(wall_begin, e.start_ns);
     wall_end = std::max(wall_end, e.start_ns + e.duration_ns);
     if (std::find(tids.begin(), tids.end(), e.thread) == tids.end())
@@ -249,7 +249,7 @@ void Span::end() {
   buf->child_ns_stack.pop_back();
   if (!buf->child_ns_stack.empty()) buf->child_ns_stack.back() += duration;
 
-  TraceEvent event;
+  SpanEvent event;
   event.name = name_;
   event.start_ns = start_ns_;
   event.duration_ns = duration;

@@ -39,7 +39,7 @@ namespace mnsim::obs {
 // One completed span. Times are nanoseconds since the tracer epoch (the
 // last enable()/reset()). `self_ns` excludes time spent in direct child
 // spans on the same thread — exact by construction, not re-derived.
-struct TraceEvent {
+struct SpanEvent {
   const char* name = nullptr;
   std::uint64_t start_ns = 0;
   std::uint64_t duration_ns = 0;
@@ -67,7 +67,7 @@ namespace internal {
 // set_thread_name take only the buffer mutex).
 struct ThreadBuffer {
   util::Mutex mutex;
-  std::vector<TraceEvent> events MN_GUARDED_BY(mutex);
+  std::vector<SpanEvent> events MN_GUARDED_BY(mutex);
   std::vector<std::uint64_t> child_ns_stack;  // owner thread only
   std::uint32_t id = 0;  // immutable after publication in local_buffer()
   std::string name MN_GUARDED_BY(mutex);  // set_thread_name vs exporters
@@ -98,7 +98,7 @@ class Tracer {
 
   // All completed events, merged across threads and sorted by start time
   // (parents before children at equal starts).
-  [[nodiscard]] std::vector<TraceEvent> events() const;
+  [[nodiscard]] std::vector<SpanEvent> events() const;
   [[nodiscard]] std::size_t event_count() const;
 
   // Per-phase aggregates sorted by self time, descending.

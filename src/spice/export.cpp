@@ -8,7 +8,10 @@ namespace mnsim::spice {
 namespace {
 
 std::string node_name(NodeId n) {
-  return n == kGround ? "0" : "n" + std::to_string(n);
+  if (n == kGround) return "0";
+  std::string name = "n";
+  name += std::to_string(n);
+  return name;
 }
 
 std::string fmt(double v) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
-#include "arch/trace_sim.hpp"
+#include "arch/pipeline.hpp"
 #include "check/diagnostic.hpp"
 #include "nn/topologies.hpp"
 
@@ -48,22 +51,122 @@ AcceleratorReport synthetic(long iter0 = 4, long iter1 = 4) {
   return rep;
 }
 
-TEST(CycleSim, NoStallMatchesTraceMakespan) {
+// Independent pass-level reference: each pass of a bank starts when the
+// bank's previous pass ends and the upstream bank has finished the
+// passes it consumes — the Eq. 6 warm-up plus an even share of the
+// rest, or the whole upstream sample for a one-pass bank. Operands move
+// for free. Returns the one-sample makespan [s].
+double pass_level_makespan(const AcceleratorReport& report) {
+  std::vector<double> up_finish;  // end time of every upstream pass
+  double makespan = 0.0;
+  for (std::size_t b = 0; b < report.banks.size(); ++b) {
+    const auto& bank = report.banks[b];
+    const long up = static_cast<long>(up_finish.size());
+    const long warmup =
+        b > 0 ? std::min(report.banks[b - 1].warmup_passes, up) : 0;
+    std::vector<double> finish;
+    double t = 0.0;
+    for (long k = 0; k < bank.iterations; ++k) {
+      const long needed =
+          bank.iterations > 1
+              ? warmup + k * (up - warmup) / (bank.iterations - 1)
+              : up;
+      if (needed > 0) t = std::max(t, up_finish[needed - 1]);
+      t += bank.pass_latency;
+      finish.push_back(t);
+    }
+    makespan = std::max(makespan, t);
+    up_finish = std::move(finish);
+  }
+  return makespan;
+}
+
+TEST(CycleSim, NoStallMatchesPassLevelMakespan) {
   // Acceptance gate: with scratchpads sized to never stall, the cycle
-  // schedule reproduces the pass-level trace makespan within 1%.
-  const auto rep = simulate_accelerator(nn::make_vgg16(), base());
-  const auto trace = simulate_trace(rep, 0);
+  // schedule reproduces the pass-level makespan within 0.5% on every
+  // built-in topology (the gap is one fill and one drain cycle per
+  // pass; the engine is integer-deterministic).
+  const std::vector<nn::Network> topologies = {
+      nn::make_mlp({128, 128, 128}), nn::make_autoencoder_64_16_64(),
+      nn::make_large_bank_layer(),   nn::make_caffenet(),
+      nn::make_vgg16(),              nn::make_binary_cnn()};
+  for (const auto& net : topologies) {
+    SCOPED_TRACE(net.name);
+    const auto rep = simulate_accelerator(net, base());
+    const double reference = pass_level_makespan(rep);
+    const auto cyc = simulate_cycles(rep, unconstrained());
+    ASSERT_GT(reference, 0.0);
+    EXPECT_NEAR(cyc.makespan_seconds, reference, 0.005 * reference);
+    // Memory-hierarchy stalls (fill/drain) are negligible; dependency
+    // stalls remain — they are the pipelining structure itself.
+    long memory_stalls = 0;
+    for (const auto& bank : cyc.banks)
+      memory_stalls += bank.fill_stall_cycles + bank.drain_stall_cycles;
+    EXPECT_LT(static_cast<double>(memory_stalls),
+              0.01 * static_cast<double>(cyc.total_busy_cycles));
+    long passes = 0;
+    for (const auto& bank : rep.banks) passes += bank.iterations;
+    EXPECT_EQ(cyc.total_tiles, passes);
+  }
+}
+
+TEST(CycleSim, MlpExecutesStrictlySequentially) {
+  // FC banks need the whole upstream output: no overlap possible.
+  const auto rep =
+      simulate_accelerator(nn::make_mlp({128, 128, 128}), base());
   const auto cyc = simulate_cycles(rep, unconstrained());
-  ASSERT_GT(trace.makespan, 0.0);
-  EXPECT_NEAR(cyc.makespan_seconds, trace.makespan, 0.01 * trace.makespan);
-  // Memory-hierarchy stalls (fill/drain) are negligible; dependency
-  // stalls remain — they are the pipelining structure itself.
-  long memory_stalls = 0;
-  for (const auto& bank : cyc.banks)
-    memory_stalls += bank.fill_stall_cycles + bank.drain_stall_cycles;
-  EXPECT_LT(static_cast<double>(memory_stalls),
-            0.01 * static_cast<double>(cyc.total_busy_cycles));
-  EXPECT_EQ(cyc.total_tiles, trace.total_passes);
+  EXPECT_EQ(cyc.total_tiles, 2);
+  ASSERT_EQ(cyc.banks.size(), 2u);
+  EXPECT_GE(cyc.banks[1].start_cycle, cyc.banks[0].finish_cycle);
+}
+
+TEST(CycleSim, ConvPipelineOverlapsBanks) {
+  const auto rep = simulate_accelerator(nn::make_vgg16(), base());
+  const auto cyc = simulate_cycles(rep, unconstrained());
+  // Pipelining must beat the strictly serial schedule by a wide margin.
+  EXPECT_LT(static_cast<double>(cyc.makespan_cycles),
+            0.6 * static_cast<double>(cyc.total_busy_cycles));
+  // Downstream banks start long before upstream banks finish.
+  EXPECT_LT(cyc.banks[1].start_cycle, cyc.banks[0].finish_cycle);
+  EXPECT_LT(cyc.banks[5].start_cycle, cyc.banks[4].finish_cycle);
+}
+
+TEST(CycleSim, MakespanBoundedByAnalyticPipeline) {
+  const auto rep = simulate_accelerator(nn::make_vgg16(), base());
+  const auto cyc = simulate_cycles(rep, unconstrained());
+  const auto pipe = analyze_pipeline(rep);
+  // The bottleneck bank's work is a lower bound on the makespan; every
+  // bank's work in series is an upper bound.
+  const double serial =
+      static_cast<double>(cyc.total_busy_cycles) / cyc.clock_hz;
+  EXPECT_GE(cyc.makespan_seconds, pipe.sample_interval - 1e-12);
+  EXPECT_LE(cyc.makespan_seconds, serial + 1e-12);
+  // The discrete schedule should land within ~2x of the analytic
+  // steady-state estimate (fill + bottleneck).
+  EXPECT_LT(cyc.makespan_seconds,
+            2.0 * (pipe.fill_latency + pipe.sample_interval));
+}
+
+TEST(CycleSim, BottleneckBankStaysBusy) {
+  const auto rep = simulate_accelerator(nn::make_vgg16(), base());
+  const auto cyc = simulate_cycles(rep, unconstrained());
+  const auto pipe = analyze_pipeline(rep);
+  const auto b = static_cast<std::size_t>(pipe.bottleneck_bank);
+  EXPECT_GT(cyc.banks[b].utilization, 0.95);
+  for (const auto& bank : cyc.banks) {
+    EXPECT_GT(bank.utilization, 0.0);
+    EXPECT_LE(bank.utilization, 1.0 + 1e-9);
+  }
+}
+
+TEST(CycleSim, BusyTimeMatchesPassCounts) {
+  const auto rep = simulate_accelerator(nn::make_caffenet(), base());
+  const auto cyc = simulate_cycles(rep, unconstrained());
+  for (std::size_t b = 0; b < rep.banks.size(); ++b) {
+    EXPECT_EQ(cyc.banks[b].tiles, rep.banks[b].iterations);
+    EXPECT_EQ(cyc.banks[b].busy_cycles,
+              cyc.banks[b].tiles * cyc.banks[b].compute_cycles_per_tile);
+  }
 }
 
 TEST(CycleSim, BandwidthStarvedReportsStalls) {
@@ -184,9 +287,17 @@ TEST(CycleSim, EventTimelineIsBoundedAndOrdered) {
   cfg.cycle_max_events = 100;
   const auto cyc = simulate_cycles(rep, cfg);
   EXPECT_EQ(cyc.events.size(), 100u);
+  std::map<int, long> compute_end;  // per bank: last compute event end
   for (const auto& e : cyc.events) {
     EXPECT_GE(e.start_cycle, 0);
     EXPECT_GE(e.end_cycle, e.start_cycle);
+    if (e.phase != TilePhase::kCompute) continue;
+    // Within a bank, compute events are ordered and never overlap.
+    const auto prev = compute_end.find(e.bank);
+    if (prev != compute_end.end()) {
+      EXPECT_GE(e.start_cycle, prev->second);
+    }
+    compute_end[e.bank] = e.end_cycle;
   }
   cfg.cycle_max_events = 0;
   EXPECT_TRUE(simulate_cycles(rep, cfg).events.empty());
