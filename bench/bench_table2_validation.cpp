@@ -113,7 +113,7 @@ int main() {
   mc.samples = 100;
   mc.weight_draws = 20;  // the paper's 20 weight samples x 100 inputs
   const auto mc_result =
-      nn::run_monte_carlo(net, {eps_circuit, eps_circuit}, mc);
+      nn::run_monte_carlo_network(net, {eps_circuit, eps_circuit}, mc);
   const double spice_accuracy = mc_result.relative_accuracy;
   auto t1 = std::chrono::steady_clock::now();
 

@@ -127,9 +127,10 @@ bool parse_number(const char* text, T& value) {
 }
 
 // Functional Monte-Carlo validation of the simulated design: feed each
-// bank's average analog error into the network-level reference simulator
-// and report the quantized accuracy it predicts. Small counts on purpose
-// — this is a spot check, not the full Table-2 sweep.
+// bank's average analog error, and the config's hard defects, into the
+// network-level reference simulator and report the quantized accuracy it
+// predicts. Small counts on purpose — this is a spot check, not the full
+// Table-2 sweep.
 void run_validate_mc(const nn::Network& net,
                      const arch::AcceleratorConfig& cfg,
                      const arch::AcceleratorReport& report) {
@@ -141,14 +142,19 @@ void run_validate_mc(const nn::Network& net,
   std::vector<double> eps;
   eps.reserve(report.banks.size());
   for (const auto& bank : report.banks) eps.push_back(bank.epsilon_average);
-  const auto mc_result = nn::run_monte_carlo_network(net, eps, mc);
+  const auto mc_result =
+      nn::run_monte_carlo_network(net, eps, mc, report.fault_config);
+  std::string faults;
+  if (mc_result.faults_injected > 0)
+    faults = ", " + std::to_string(mc_result.faults_injected) +
+             " faults injected";
   std::printf(
       "functional MC validation: relative accuracy %.4f "
       "(avg error rate %.4g, max %.4g; %d draws x %d samples, "
-      "%d thread%s)\n",
+      "%d thread%s%s)\n",
       mc_result.relative_accuracy, mc_result.avg_error_rate,
       mc_result.max_error_rate, mc.weight_draws, mc.samples,
-      mc_result.threads, mc_result.threads == 1 ? "" : "s");
+      mc_result.threads, mc_result.threads == 1 ? "" : "s", faults.c_str());
 }
 
 void dump_netlist(const nn::Network& net,

@@ -14,8 +14,9 @@
 // One seed-deterministic DefectMap drives all three simulation layers so
 // behavior-level and circuit-level results can be cross-validated under
 // the *same* defects:
-//   * nn/functional_sim  — apply_to_signed_weights + run_monte_carlo_faulted
-//     (inference accuracy under faults),
+//   * nn/functional_sim  — apply_to_signed_weights inside
+//     run_monte_carlo_network (inference accuracy under faults, conv and
+//     FC layers alike),
 //   * accuracy chain     — estimate_fault_error composes the fault-induced
 //     output deviation with the Eq. 16 variation bound,
 //   * spice/crossbar_netlist — apply_to_spec rewrites the programmed cell

@@ -22,34 +22,6 @@ struct DrawStats {
   double max_rate = 0.0;
 };
 
-// Forward pass of an MLP in doubles with optional per-layer multiplicative
-// output perturbation; activations are clamped-ReLU re-normalized per
-// layer so both runs share scales. Works on integer or double weight
-// matrices (the faulted path rewrites weights into doubles).
-template <typename MatrixT>
-std::vector<double> forward(const std::vector<MatrixT>& weights,
-                            const std::vector<double>& input,
-                            const std::vector<double>& layer_eps,
-                            std::mt19937* rng) {
-  std::vector<double> x = input;
-  for (std::size_t l = 0; l < weights.size(); ++l) {
-    const auto& w = weights[l];
-    std::vector<double> y(w.size(), 0.0);
-    for (std::size_t o = 0; o < w.size(); ++o) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < w[o].size(); ++i) acc += w[o][i] * x[i];
-      if (rng) {
-        std::uniform_real_distribution<double> err(-layer_eps[l],
-                                                   layer_eps[l]);
-        acc *= 1.0 + err(*rng);
-      }
-      y[o] = std::max(acc, 0.0);  // ReLU reference neuron
-    }
-    x = std::move(y);
-  }
-  return x;
-}
-
 // Quantizer level count for the deviation statistics. signal_bits = 0
 // would make k = 1 and the LSB below divide by zero — under FP traps a
 // SIGFPE, without them inf LSBs that quantize every output to bucket 0
@@ -61,228 +33,6 @@ int quantizer_levels(int signal_bits) {
         "monte carlo: signal_bits outside [1, 30]");
   return 1 << signal_bits;
 }
-
-}  // namespace
-
-MonteCarloResult run_monte_carlo(const Network& network,
-                                 const std::vector<double>& layer_eps,
-                                 const MonteCarloConfig& config) {
-  network.validate();
-  std::vector<const Layer*> fc;
-  for (const auto& l : network.layers) {
-    if (l.kind != LayerKind::kFullyConnected)
-      throw std::invalid_argument("run_monte_carlo: MLP networks only");
-    fc.push_back(&l);
-  }
-  if (layer_eps.size() != fc.size())
-    throw std::invalid_argument("run_monte_carlo: one eps per layer");
-  if (config.samples <= 0 || config.weight_draws <= 0)
-    throw std::invalid_argument("run_monte_carlo: sample counts");
-
-  const int k = quantizer_levels(config.signal_bits);
-
-  obs::Span mc_span("nn.monte_carlo");
-  util::ThreadPool pool(config.threads);
-  // One task per weight draw, each on its own (seed, draw)-derived RNG
-  // stream: the draw's weights, inputs and perturbations depend only on
-  // the draw index, so any thread count produces the same statistics.
-  const auto stats = util::parallel_map(
-      pool, static_cast<std::size_t>(config.weight_draws),
-      [&](std::size_t draw, std::size_t) {
-        obs::Span draw_span("nn.mc_draw");
-        std::mt19937 rng(util::derive_stream_seed(config.seed, draw));
-
-        // Random signed weights quantized to the network's precision.
-        std::vector<IntMatrix> weights;
-        std::uniform_real_distribution<double> wdist(-1.0, 1.0);
-        for (const Layer* l : fc) {
-          Matrix w(static_cast<std::size_t>(l->out_features),
-                   std::vector<double>(
-                       static_cast<std::size_t>(l->in_features)));
-          for (auto& row : w)
-            for (double& v : row) v = wdist(rng);
-          double scale = 1.0;
-          IntMatrix q = quantize_symmetric(w, network.weight_bits, &scale);
-          // Keep integer weights; activations carry the scale implicitly.
-          weights.push_back(std::move(q));
-        }
-
-        DrawStats st;
-        std::uniform_real_distribution<double> xdist(0.0, 1.0);
-        for (int s = 0; s < config.samples; ++s) {
-          std::vector<double> input(
-              static_cast<std::size_t>(fc.front()->in_features));
-          for (double& v : input) v = xdist(rng);
-
-          const auto ideal = forward(weights, input, layer_eps, nullptr);
-          const auto actual = forward(weights, input, layer_eps, &rng);
-
-          double max_out = 0.0;
-          for (double v : ideal) max_out = std::max(max_out, v);
-          if (max_out <= 0) continue;
-          const double lsb = max_out / (k - 1);
-          for (std::size_t o = 0; o < ideal.size(); ++o) {
-            const long qi = std::lround(ideal[o] / lsb);
-            // Same clamp as the faulted path: perturbations can only push
-            // a ReLU output above max_out, but sharing one quantizer keeps
-            // cross-path comparisons honest.
-            const long qa =
-                std::lround(std::clamp(actual[o], 0.0, max_out) / lsb);
-            const double rate =
-                static_cast<double>(std::labs(qa - qi)) / (k - 1);
-            st.deviation_sum += rate;
-            ++st.deviation_count;
-            st.max_rate = std::max(st.max_rate, rate);
-          }
-        }
-        return st;
-      });
-
-  double deviation_sum = 0.0;
-  long deviation_count = 0;
-  double max_rate = 0.0;
-  for (const DrawStats& st : stats) {
-    deviation_sum += st.deviation_sum;
-    deviation_count += st.deviation_count;
-    max_rate = std::max(max_rate, st.max_rate);
-  }
-
-  MonteCarloResult result;
-  if (deviation_count > 0)
-    result.avg_error_rate = deviation_sum / deviation_count;
-  result.max_error_rate = max_rate;
-  result.relative_accuracy = 1.0 - result.avg_error_rate;
-  result.seed = config.seed;
-  result.threads = static_cast<int>(pool.worker_count());
-  obs::Registry::global().add("nn.mc_draws", config.weight_draws);
-  obs::Registry::global().add(
-      "nn.mc_samples",
-      static_cast<long>(config.weight_draws) * config.samples);
-  return result;
-}
-
-MonteCarloResult run_monte_carlo_faulted(const Network& network,
-                                         const std::vector<double>& layer_eps,
-                                         const MonteCarloConfig& config,
-                                         const fault::FaultConfig& faults) {
-  network.validate();
-  faults.validate();
-  std::vector<const Layer*> fc;
-  for (const auto& l : network.layers) {
-    if (l.kind != LayerKind::kFullyConnected)
-      throw std::invalid_argument("run_monte_carlo_faulted: MLP only");
-    fc.push_back(&l);
-  }
-  if (layer_eps.size() != fc.size())
-    throw std::invalid_argument("run_monte_carlo_faulted: one eps per layer");
-  if (config.samples <= 0 || config.weight_draws <= 0)
-    throw std::invalid_argument("run_monte_carlo_faulted: sample counts");
-
-  const auto device = tech::default_rram();
-
-  // One defect map per layer and cell polarity, decorrelated under the
-  // configured fault seed. Drawn once: the defects are a property of the
-  // physical arrays, not of the Monte-Carlo weight draw.
-  std::vector<fault::DefectMap> pos_maps, neg_maps;
-  int faults_injected = 0;
-  for (std::size_t l = 0; l < fc.size(); ++l) {
-    pos_maps.push_back(fault::generate_defect_map(
-        fc[l]->in_features, fc[l]->out_features, faults, device,
-        static_cast<std::uint32_t>(2 * l)));
-    neg_maps.push_back(fault::generate_defect_map(
-        fc[l]->in_features, fc[l]->out_features, faults, device,
-        static_cast<std::uint32_t>(2 * l + 1)));
-    faults_injected +=
-        pos_maps.back().fault_count() + neg_maps.back().fault_count();
-  }
-
-  const int k = quantizer_levels(config.signal_bits);
-
-  obs::Span mc_span("nn.monte_carlo_faulted");
-  util::ThreadPool pool(config.threads);
-  // Same per-draw stream scheme as run_monte_carlo; the defect maps are
-  // fixed (drawn above under the fault seed) and read-only, so every
-  // draw sees identical arrays regardless of scheduling.
-  const auto stats = util::parallel_map(
-      pool, static_cast<std::size_t>(config.weight_draws),
-      [&](std::size_t draw, std::size_t) {
-        obs::Span draw_span("nn.mc_draw");
-        std::mt19937 rng(util::derive_stream_seed(config.seed, draw));
-
-        std::vector<Matrix> clean, faulted;
-        std::uniform_real_distribution<double> wdist(-1.0, 1.0);
-        for (std::size_t l = 0; l < fc.size(); ++l) {
-          Matrix w(static_cast<std::size_t>(fc[l]->out_features),
-                   std::vector<double>(
-                       static_cast<std::size_t>(fc[l]->in_features)));
-          for (auto& row : w)
-            for (double& v : row) v = wdist(rng);
-          double scale = 1.0;
-          const IntMatrix q =
-              quantize_symmetric(w, network.weight_bits, &scale);
-          Matrix qd(q.size());
-          for (std::size_t o = 0; o < q.size(); ++o)
-            qd[o].assign(q[o].begin(), q[o].end());
-          clean.push_back(qd);
-          fault::apply_to_signed_weights(pos_maps[l], neg_maps[l],
-                                         network.weight_bits, qd);
-          faulted.push_back(std::move(qd));
-        }
-
-        DrawStats st;
-        std::uniform_real_distribution<double> xdist(0.0, 1.0);
-        for (int s = 0; s < config.samples; ++s) {
-          std::vector<double> input(
-              static_cast<std::size_t>(fc.front()->in_features));
-          for (double& v : input) v = xdist(rng);
-
-          const auto ideal = forward(clean, input, layer_eps, nullptr);
-          const auto actual = forward(faulted, input, layer_eps, &rng);
-
-          double max_out = 0.0;
-          for (double v : ideal) max_out = std::max(max_out, v);
-          if (max_out <= 0) continue;
-          const double lsb = max_out / (k - 1);
-          for (std::size_t o = 0; o < ideal.size(); ++o) {
-            const long qi = std::lround(ideal[o] / lsb);
-            const long qa = std::lround(
-                std::clamp(actual[o], 0.0, max_out) / lsb);
-            const double rate =
-                static_cast<double>(std::labs(qa - qi)) / (k - 1);
-            st.deviation_sum += rate;
-            ++st.deviation_count;
-            st.max_rate = std::max(st.max_rate, rate);
-          }
-        }
-        return st;
-      });
-
-  double deviation_sum = 0.0;
-  long deviation_count = 0;
-  double max_rate = 0.0;
-  for (const DrawStats& st : stats) {
-    deviation_sum += st.deviation_sum;
-    deviation_count += st.deviation_count;
-    max_rate = std::max(max_rate, st.max_rate);
-  }
-
-  MonteCarloResult result;
-  if (deviation_count > 0)
-    result.avg_error_rate = deviation_sum / deviation_count;
-  result.max_error_rate = max_rate;
-  result.relative_accuracy = 1.0 - result.avg_error_rate;
-  result.seed = config.seed;
-  result.faults_injected = faults_injected;
-  result.threads = static_cast<int>(pool.worker_count());
-  obs::Registry::global().add("nn.mc_draws", config.weight_draws);
-  obs::Registry::global().add(
-      "nn.mc_samples",
-      static_cast<long>(config.weight_draws) * config.samples);
-  obs::Registry::global().add("fault.faults_injected", faults_injected);
-  return result;
-}
-
-namespace {
 
 // A feature map in channel-major layout.
 struct Tensor {
@@ -308,13 +58,30 @@ struct Tensor {
   }
 };
 
-// Per-layer integer weights: conv stored [out_ch][in_ch*k*k], FC stored
-// [out][in].
-struct NetWeights {
-  std::vector<IntMatrix> per_layer;
-};
+// The crossbar operation shared by conv and FC: one perturbed
+// matrix-vector pass with ReLU neurons. Output o is written to
+// y[o * stride]; a biased layer's trailing weight w[o][n] (driven by a
+// constant 1) seeds the accumulator.
+template <typename MatrixT>
+void matvec_relu(const MatrixT& w, const double* x, std::size_t n,
+                 bool biased, double* y, std::size_t stride,
+                 std::uniform_real_distribution<double>& err,
+                 std::mt19937* rng) {
+  for (std::size_t o = 0; o < w.size(); ++o) {
+    double acc = biased ? static_cast<double>(w[o][n]) : 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += w[o][i] * x[i];
+    if (rng) acc *= 1.0 + err(*rng);
+    y[o * stride] = std::max(acc, 0.0);
+  }
+}
 
-Tensor forward_network(const Network& net, const NetWeights& weights,
+// Forward pass with optional per-layer multiplicative output
+// perturbation. Weights are per weighted layer, [matrix_cols][matrix_rows]
+// (conv rows in ic, dy, dx order), integer for the ideal pass or double
+// once defects rewrote them.
+template <typename MatrixT>
+Tensor forward_network(const Network& net,
+                       const std::vector<MatrixT>& weights,
                        const Tensor& input,
                        const std::vector<double>& layer_eps,
                        std::mt19937* rng) {
@@ -343,7 +110,7 @@ Tensor forward_network(const Network& net, const NetWeights& weights,
       continue;
     }
 
-    const auto& w = weights.per_layer.at(w_index);
+    const auto& w = weights.at(w_index);
     const double eps = layer_eps.at(w_index);
     ++w_index;
     std::uniform_real_distribution<double> err(-eps, eps);
@@ -353,20 +120,22 @@ Tensor forward_network(const Network& net, const NetWeights& weights,
       const int pad = layer.padding;
       Tensor y = Tensor::zeros(layer.out_channels, layer.out_height(),
                                layer.out_width());
+      const std::size_t plane = static_cast<std::size_t>(y.height) * y.width;
+      // Each output pixel is one crossbar pass over its padded input
+      // patch, gathered once in the weight rows' ic, dy, dx order.
+      std::vector<double> patch(
+          static_cast<std::size_t>(layer.in_channels) * k * k);
       for (int oy = 0; oy < y.height; ++oy)
-        for (int ox = 0; ox < y.width; ++ox)
-          for (int oc = 0; oc < y.channels; ++oc) {
-            double acc = 0.0;
-            int row = 0;
-            for (int ic = 0; ic < layer.in_channels; ++ic)
-              for (int dy = 0; dy < k; ++dy)
-                for (int dx = 0; dx < k; ++dx)
-                  acc += w[oc][row++] *
-                         x.get(ic, oy * layer.stride + dy - pad,
-                               ox * layer.stride + dx - pad);
-            if (rng) acc *= 1.0 + err(*rng);
-            y.at(oc, oy, ox) = std::max(acc, 0.0);  // ReLU
-          }
+        for (int ox = 0; ox < y.width; ++ox) {
+          std::size_t row = 0;
+          for (int ic = 0; ic < layer.in_channels; ++ic)
+            for (int dy = 0; dy < k; ++dy)
+              for (int dx = 0; dx < k; ++dx)
+                patch[row++] = x.get(ic, oy * layer.stride + dy - pad,
+                                     ox * layer.stride + dx - pad);
+          matvec_relu(w, patch.data(), patch.size(), false, &y.at(0, oy, ox),
+                      plane, err, rng);
+        }
       x = std::move(y);
     } else {
       // The layer's weight rows are the flattened feature map plus, when
@@ -385,12 +154,7 @@ Tensor forward_network(const Network& net, const NetWeights& weights,
             std::to_string(flat) +
             "-element feature map (MN-NN-001): fan-in mismatch");
       Tensor y = Tensor::zeros(static_cast<int>(w.size()), 1, 1);
-      for (std::size_t o = 0; o < w.size(); ++o) {
-        double acc = biased ? static_cast<double>(w[o][flat]) : 0.0;
-        for (std::size_t i = 0; i < flat; ++i) acc += w[o][i] * x.data[i];
-        if (rng) acc *= 1.0 + err(*rng);
-        y.data[o] = std::max(acc, 0.0);
-      }
+      matvec_relu(w, x.data.data(), flat, biased, y.data.data(), 1, err, rng);
       x = std::move(y);
     }
   }
@@ -401,8 +165,10 @@ Tensor forward_network(const Network& net, const NetWeights& weights,
 
 MonteCarloResult run_monte_carlo_network(const Network& network,
                                          const std::vector<double>& layer_eps,
-                                         const MonteCarloConfig& config) {
+                                         const MonteCarloConfig& config,
+                                         const fault::FaultConfig& faults) {
   network.validate();
+  faults.validate();
   std::vector<const Layer*> weighted;
   for (const auto& l : network.layers)
     if (l.is_weighted()) weighted.push_back(&l);
@@ -420,29 +186,59 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
 
   const int k = quantizer_levels(config.signal_bits);
 
+  // One defect map per weighted layer and cell polarity, shaped like the
+  // layer's crossbar matrix (matrix_rows x matrix_cols) and decorrelated
+  // under the fault seed by offsets 2w / 2w + 1. Drawn once: the defects
+  // are a property of the physical arrays, not of the weight draw.
+  std::vector<fault::DefectMap> pos_maps, neg_maps;
+  int faults_injected = 0;
+  if (faults.enabled()) {
+    const auto device = tech::default_rram();
+    for (std::size_t w = 0; w < weighted.size(); ++w) {
+      const int rows = static_cast<int>(weighted[w]->matrix_rows());
+      const int cols = static_cast<int>(weighted[w]->matrix_cols());
+      pos_maps.push_back(fault::generate_defect_map(
+          rows, cols, faults, device, static_cast<std::uint32_t>(2 * w)));
+      neg_maps.push_back(fault::generate_defect_map(
+          rows, cols, faults, device, static_cast<std::uint32_t>(2 * w + 1)));
+      faults_injected +=
+          pos_maps.back().fault_count() + neg_maps.back().fault_count();
+    }
+  }
+
   obs::Span mc_span("nn.monte_carlo_network");
   util::ThreadPool pool(config.threads);
-  // One task per weight draw on a (seed, draw)-derived RNG stream, reduced
-  // in draw order — the same scheme as run_monte_carlo, so the statistics
-  // are bit-identical for any thread count (previously this path ran
-  // serially on one shared generator and ignored config.threads).
+  // One task per weight draw, each on its own (seed, draw)-derived RNG
+  // stream: the draw's weights, inputs and perturbations depend only on
+  // the draw index, and partials reduce in draw order, so any thread
+  // count produces the same statistics. The defect maps are read-only.
   const auto stats = util::parallel_map(
       pool, static_cast<std::size_t>(config.weight_draws),
       [&](std::size_t draw, std::size_t) {
         obs::Span draw_span("nn.mc_draw");
         std::mt19937 rng(util::derive_stream_seed(config.seed, draw));
 
-        NetWeights weights;
+        // Random signed weights quantized to the network's precision;
+        // activations carry the scale implicitly. With faults, the
+        // perturbed pass runs on a defect-rewritten double copy.
+        std::vector<IntMatrix> weights;
+        std::vector<Matrix> faulted;
         std::uniform_real_distribution<double> wdist(-1.0, 1.0);
-        for (const Layer* l : weighted) {
-          Matrix w(static_cast<std::size_t>(l->matrix_cols()),
+        for (std::size_t w = 0; w < weighted.size(); ++w) {
+          Matrix m(static_cast<std::size_t>(weighted[w]->matrix_cols()),
                    std::vector<double>(
-                       static_cast<std::size_t>(l->matrix_rows())));
-          for (auto& row : w)
+                       static_cast<std::size_t>(weighted[w]->matrix_rows())));
+          for (auto& row : m)
             for (double& v : row) v = wdist(rng);
           double scale = 1.0;
-          weights.per_layer.push_back(
-              quantize_symmetric(w, network.weight_bits, &scale));
+          weights.push_back(
+              quantize_symmetric(m, network.weight_bits, &scale));
+          if (!faults.enabled()) continue;
+          for (std::size_t o = 0; o < m.size(); ++o)
+            m[o].assign(weights.back()[o].begin(), weights.back()[o].end());
+          fault::apply_to_signed_weights(pos_maps[w], neg_maps[w],
+                                         network.weight_bits, m);
+          faulted.push_back(std::move(m));
         }
 
         DrawStats st;
@@ -454,7 +250,10 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
           const Tensor ideal =
               forward_network(network, weights, input, layer_eps, nullptr);
           const Tensor actual =
-              forward_network(network, weights, input, layer_eps, &rng);
+              faulted.empty()
+                  ? forward_network(network, weights, input, layer_eps, &rng)
+                  : forward_network(network, faulted, input, layer_eps,
+                                    &rng);
 
           double max_out = 0.0;
           for (double v : ideal.data) max_out = std::max(max_out, v);
@@ -489,11 +288,14 @@ MonteCarloResult run_monte_carlo_network(const Network& network,
   result.max_error_rate = max_rate;
   result.relative_accuracy = 1.0 - result.avg_error_rate;
   result.seed = config.seed;
+  result.faults_injected = faults_injected;
   result.threads = static_cast<int>(pool.worker_count());
   obs::Registry::global().add("nn.mc_draws", config.weight_draws);
   obs::Registry::global().add(
       "nn.mc_samples",
       static_cast<long>(config.weight_draws) * config.samples);
+  if (faults.enabled())
+    obs::Registry::global().add("fault.faults_injected", faults_injected);
   return result;
 }
 

@@ -2,14 +2,16 @@
 //
 // Cross-checks the analytic accuracy model empirically (paper Sec. VII-A:
 // "Average Relative Accuracy" of Table II and the JPEG autoencoder
-// validation): a fully-connected network is executed in fixed point
-// (the ideal reference of Sec. VI), then re-executed with each layer's
+// validation): a network is executed in fixed point (the ideal reference
+// of Sec. VI), then re-executed with each weighted layer's
 // pre-quantization analog output perturbed by the crossbar error rate,
 // and the two runs are compared at the output.
 //
 // Two perturbation sources are supported:
-//  * `run_monte_carlo` — per-output relative error drawn uniformly from
-//    [-eps_layer, +eps_layer] (fast, any size), and
+//  * `run_monte_carlo_network` — per-output relative error drawn
+//    uniformly from [-eps_layer, +eps_layer], optionally on top of
+//    seed-deterministic hard defects (fast, any conv / pooling / FC net),
+//    and
 //  * `electrical_layer_outputs` — one layer evaluated through the full
 //    circuit-level crossbar solve with the weights actually programmed as
 //    cell conductances (slow, used for small validation nets).
@@ -47,39 +49,34 @@ struct MonteCarloResult {
   double avg_error_rate = 0.0;
   // Echo of the RNG seed the run used, for exact reproducibility.
   std::uint32_t seed = 0;
-  // Hard defects applied across all layers (run_monte_carlo_faulted).
+  // Hard defects applied across all weighted layers; 0 unless the run's
+  // FaultConfig is enabled.
   int faults_injected = 0;
   // Worker threads actually used for the draw sweep.
   int threads = 1;
 };
 
-// `layer_eps[i]` is the analog error rate of the i-th weighted layer
-// (from accuracy::estimate_voltage_error). The network must be fully
-// connected (MLP); throws otherwise.
-MonteCarloResult run_monte_carlo(const Network& network,
-                                 const std::vector<double>& layer_eps,
-                                 const MonteCarloConfig& config);
-
-// General variant supporting conv / pooling / FC networks: convolutions
-// execute pixel-by-pixel (each output pixel is one perturbed
-// matrix-vector pass, matching the accelerator's dataflow), max pooling
-// follows its attached conv bank. Keep input maps modest (<= 32x32) —
-// the functional conv is O(pixels * channels * k^2).
+// The one functional Monte-Carlo driver. `layer_eps[i]` is the analog
+// error rate of the i-th weighted layer (from
+// accuracy::estimate_voltage_error); throws unless there is one per
+// weighted layer. Conv and FC layers run the same perturbed
+// matrix-vector kernel — a convolution is one pass per output pixel over
+// its padded input patch, matching the accelerator's dataflow — and max
+// pooling follows its attached conv bank. FC bias weights are driven by
+// a constant 1. Keep input maps modest (<= 32x32): the functional conv
+// is O(pixels * channels * k^2).
+//
+// When `faults.enabled()`, each weighted layer w gets two defect maps
+// (positive / negative cell array) of shape matrix_rows() x
+// matrix_cols(), drawn once under seed offsets 2w and 2w + 1; every
+// weight draw's perturbed pass runs on the weights rewritten through
+// fault::apply_to_signed_weights. The ideal reference stays defect-free,
+// so the result measures the inference accuracy loss caused by the
+// defects plus the analog error.
 MonteCarloResult run_monte_carlo_network(const Network& network,
                                          const std::vector<double>& layer_eps,
-                                         const MonteCarloConfig& config);
-
-// Fault-injected variant of run_monte_carlo (MLP networks): each weighted
-// layer gets two seed-deterministic defect maps (positive / negative cell
-// array) drawn from `faults`, the effective weights are rewritten through
-// fault::apply_to_signed_weights, and the perturbed run additionally
-// carries the per-layer analog error like run_monte_carlo. The ideal
-// reference stays defect-free, so the result measures the end-to-end
-// inference accuracy loss caused by the defects (+ analog error).
-MonteCarloResult run_monte_carlo_faulted(const Network& network,
-                                         const std::vector<double>& layer_eps,
                                          const MonteCarloConfig& config,
-                                         const fault::FaultConfig& faults);
+                                         const fault::FaultConfig& faults = {});
 
 // Evaluates one FC layer electrically: programs the signed weights into
 // positive/negative cell matrices, drives the quantized inputs as DAC

@@ -379,7 +379,7 @@ TEST(FunctionalSim, StuckAtZeroInjectionDegradesAccuracy) {
   mc.seed = 7;
 
   FaultConfig none;
-  const auto clean = nn::run_monte_carlo_faulted(net, eps, mc, none);
+  const auto clean = nn::run_monte_carlo_network(net, eps, mc, none);
   EXPECT_EQ(clean.faults_injected, 0);
   EXPECT_NEAR(clean.relative_accuracy, 1.0, 1e-12);
   EXPECT_EQ(clean.seed, mc.seed);
@@ -387,7 +387,8 @@ TEST(FunctionalSim, StuckAtZeroInjectionDegradesAccuracy) {
   FaultConfig one_percent;
   one_percent.stuck_at_zero_rate = 0.01;
   one_percent.seed = 13;
-  const auto faulted = nn::run_monte_carlo_faulted(net, eps, mc, one_percent);
+  const auto faulted =
+      nn::run_monte_carlo_network(net, eps, mc, one_percent);
   EXPECT_GT(faulted.faults_injected, 0);
   // A 1% SA0 population must measurably move the output.
   EXPECT_LT(faulted.relative_accuracy, clean.relative_accuracy - 1e-4);
@@ -403,8 +404,8 @@ TEST(FunctionalSim, FaultRunIsSeedReproducible) {
   FaultConfig cfg;
   cfg.stuck_at_zero_rate = 0.05;
   cfg.seed = 21;
-  const auto a = nn::run_monte_carlo_faulted(net, eps, mc, cfg);
-  const auto b = nn::run_monte_carlo_faulted(net, eps, mc, cfg);
+  const auto a = nn::run_monte_carlo_network(net, eps, mc, cfg);
+  const auto b = nn::run_monte_carlo_network(net, eps, mc, cfg);
   EXPECT_DOUBLE_EQ(a.relative_accuracy, b.relative_accuracy);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
 }

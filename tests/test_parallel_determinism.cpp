@@ -174,9 +174,9 @@ TEST(ParallelDeterminism, FunctionalMcMatchesSerial) {
   mc.samples = 20;
   mc.weight_draws = 12;
   mc.threads = 1;
-  const auto serial = run_monte_carlo(net, eps, mc);
+  const auto serial = run_monte_carlo_network(net, eps, mc);
   mc.threads = 8;
-  const auto parallel = run_monte_carlo(net, eps, mc);
+  const auto parallel = run_monte_carlo_network(net, eps, mc);
   expect_identical(serial, parallel);
   EXPECT_EQ(serial.threads, 1);
   EXPECT_EQ(parallel.threads, 8);
@@ -192,9 +192,9 @@ TEST(ParallelDeterminism, FunctionalMcFaultedMatchesSerial) {
   mc.samples = 20;
   mc.weight_draws = 12;
   mc.threads = 1;
-  const auto serial = run_monte_carlo_faulted(net, eps, mc, faults);
+  const auto serial = run_monte_carlo_network(net, eps, mc, faults);
   mc.threads = 8;
-  const auto parallel = run_monte_carlo_faulted(net, eps, mc, faults);
+  const auto parallel = run_monte_carlo_network(net, eps, mc, faults);
   expect_identical(serial, parallel);
   EXPECT_GT(serial.faults_injected, 0);  // the defect maps actually bit
 }
