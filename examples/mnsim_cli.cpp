@@ -143,7 +143,8 @@ void run_validate_mc(const nn::Network& net,
   eps.reserve(report.banks.size());
   for (const auto& bank : report.banks) eps.push_back(bank.epsilon_average);
   const auto mc_result =
-      nn::run_monte_carlo_network(net, eps, mc, report.fault_config);
+      nn::run_monte_carlo_network(net, eps, mc, report.fault_config,
+                                  cfg.device());
   std::string faults;
   if (mc_result.faults_injected > 0)
     faults = ", " + std::to_string(mc_result.faults_injected) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
 
@@ -137,21 +138,42 @@ void apply_to_signed_weights(const DefectMap& positive,
 
   const double wmax = static_cast<double>((1 << (weight_bits - 1)) - 1);
 
+  // Stuck value per cell [row=in][col=out], filled in map order so the
+  // last entry for a cell wins; NaN marks a healthy cell. Entries outside
+  // the array match no weight and are skipped.
+  auto stuck_index = [&](const DefectMap& map) {
+    std::vector<double> index(
+        static_cast<std::size_t>(inputs) * static_cast<std::size_t>(outputs),
+        std::numeric_limits<double>::quiet_NaN());
+    for (const auto& f : map.stuck_cells) {
+      if (f.row < 0 || f.row >= inputs || f.col < 0 || f.col >= outputs)
+        continue;
+      index[static_cast<std::size_t>(f.row) *
+                static_cast<std::size_t>(outputs) +
+            static_cast<std::size_t>(f.col)] =
+          f.kind == FaultKind::kStuckAtZero ? 0.0 : wmax;
+    }
+    return index;
+  };
+  const std::vector<double> pos_stuck = stuck_index(positive);
+  const std::vector<double> neg_stuck = stuck_index(negative);
+
   // Per-polarity magnitudes, as programmed into the two cell arrays.
   for (int o = 0; o < outputs; ++o) {
     for (int i = 0; i < inputs; ++i) {
       double wpos = std::max(weights[o][i], 0.0);
       double wneg = std::max(-weights[o][i], 0.0);
 
-      auto stuck = [&](const DefectMap& map, double& w) {
-        for (const auto& f : map.stuck_cells) {
-          if (f.row != i || f.col != o) continue;
-          w = f.kind == FaultKind::kStuckAtZero ? 0.0 : wmax;
-        }
+      const std::size_t cell =
+          static_cast<std::size_t>(i) * static_cast<std::size_t>(outputs) +
+          static_cast<std::size_t>(o);
+      auto stuck = [&](const DefectMap& map, const std::vector<double>& index,
+                       double& w) {
+        if (!std::isnan(index[cell])) w = index[cell];
         if (map.row_broken(i) || map.col_broken(o)) w = 0.0;
       };
-      stuck(positive, wpos);
-      stuck(negative, wneg);
+      stuck(positive, pos_stuck, wpos);
+      stuck(negative, neg_stuck, wneg);
 
       // Drift lowers every surviving conductance, i.e. shrinks the
       // effective weight magnitude.
