@@ -67,18 +67,20 @@ void accumulate_breakdown(AcceleratorBreakdown& bd, const BankReport& bank) {
 }  // namespace
 
 AcceleratorReport simulate_accelerator(const nn::Network& network,
-                                       const AcceleratorConfig& config) {
+                                       const AcceleratorConfig& config,
+                                       CircuitCheckMemo* memo) {
   std::vector<AcceleratorConfig> per_bank;
   int banks = 0;
   for (const auto& layer : network.layers)
     if (layer.is_weighted()) ++banks;
   per_bank.assign(static_cast<std::size_t>(banks > 0 ? banks : 1), config);
-  return simulate_accelerator(network, per_bank);
+  return simulate_accelerator(network, per_bank, memo);
 }
 
 AcceleratorReport simulate_accelerator(
     const nn::Network& network,
-    const std::vector<AcceleratorConfig>& per_bank_configs) {
+    const std::vector<AcceleratorConfig>& per_bank_configs,
+    CircuitCheckMemo* memo) {
   obs::Span span("arch.simulate_accelerator");
   network.validate();
   if (per_bank_configs.empty())
@@ -129,7 +131,8 @@ AcceleratorReport simulate_accelerator(
   // One crossbar solve cache shared by every bank's fault circuit-check:
   // the checks all clip to fault.circuit_check_size, so after the first
   // bank builds the topology the remaining banks refill it (cache_hits
-  // in the solver diagnostics below).
+  // in the solver diagnostics below). Unused when a sweep's memo serves
+  // the checks.
   spice::CrossbarSolveCache solve_cache;
   for (std::size_t i = 0; i < weighted.size(); ++i) {
     // Watchdog poll (docs/ROBUSTNESS.md): bank boundaries are the
@@ -141,7 +144,7 @@ AcceleratorReport simulate_accelerator(
         i + 1 < weighted.size() ? weighted[i + 1] : nullptr;
     BankReport bank = simulate_bank(*weighted[i], pooling_after[i], next,
                                     network, per_bank_configs[i],
-                                    &solve_cache);
+                                    &solve_cache, memo);
     rep.area += bank.area;
     rep.leakage_power += bank.leakage_power;
     rep.sample_latency += bank.sample_latency;

@@ -78,8 +78,11 @@ struct AcceleratorReport {
   std::vector<check::Diagnostic> diagnostics;
 };
 
+// `memo` (a sweep's CircuitCheckMemo, or null) serves every bank's fault
+// work; see simulate_bank.
 AcceleratorReport simulate_accelerator(const nn::Network& network,
-                                       const AcceleratorConfig& config);
+                                       const AcceleratorConfig& config,
+                                       CircuitCheckMemo* memo = nullptr);
 
 // Heterogeneous variant: one configuration per computation bank (per
 // weighted layer, in network order). All accelerator-level parameters
@@ -87,6 +90,7 @@ AcceleratorReport simulate_accelerator(const nn::Network& network,
 // configuration count does not match the network depth.
 AcceleratorReport simulate_accelerator(
     const nn::Network& network,
-    const std::vector<AcceleratorConfig>& per_bank_configs);
+    const std::vector<AcceleratorConfig>& per_bank_configs,
+    CircuitCheckMemo* memo = nullptr);
 
 }  // namespace mnsim::arch

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "accuracy/voltage_error.hpp"
+#include "arch/circuit_check_memo.hpp"
 #include "circuit/buffer.hpp"
 #include "circuit/logic.hpp"
 #include "circuit/neuron.hpp"
@@ -28,7 +29,8 @@ BankReport simulate_bank(const nn::Layer& layer,
                          const nn::Layer* next_weighted,
                          const nn::Network& network,
                          const AcceleratorConfig& config,
-                         spice::CrossbarSolveCache* solve_cache) {
+                         spice::CrossbarSolveCache* solve_cache,
+                         CircuitCheckMemo* memo) {
   if (!layer.is_weighted())
     throw std::invalid_argument("simulate_bank: layer holds no weights");
   network.validate();
@@ -207,7 +209,9 @@ BankReport simulate_bank(const nn::Layer& layer,
   // chain; optionally cross-validated with a defect-injected
   // circuit-level solve whose diagnostics ride up the report.
   if (config.fault.enabled()) {
-    const auto fe = fault::estimate_fault_error(err, config.fault);
+    const auto fe = memo != nullptr
+                        ? memo->fault_error(err, config.fault)
+                        : fault::estimate_fault_error(err, config.fault);
     rep.epsilon_worst = fe.combined_worst;
     rep.epsilon_average = fe.combined_average;
     rep.solver.faults_injected += fe.faults_injected;
@@ -226,9 +230,12 @@ BankReport simulate_bank(const nn::Layer& layer,
       const auto map = fault::generate_defect_map(
           check_rows, check_cols, config.fault, err.device);
       fault::apply_to_spec(map, spec);
-      const auto sol =
-          spice::solve_crossbar(spec, config.solver_options(), solve_cache);
-      rep.solver.absorb(sol.dc.diagnostics);
+      rep.solver.absorb(
+          memo != nullptr
+              ? memo->circuit_check(spec, config.solver_options())
+              : spice::solve_crossbar(spec, config.solver_options(),
+                                      solve_cache)
+                    .dc.diagnostics);
     }
   }
   return rep;

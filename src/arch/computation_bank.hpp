@@ -7,6 +7,13 @@
 // module + pooling line buffer (CNN), the non-linear neuron modules, and
 // the output buffer (registers for FC, Eq. 6 line buffers for cascaded
 // conv layers).
+//
+// With fault injection on, a bank also composes its defect-induced error
+// (fault::estimate_fault_error) and, under fault.circuit_check, solves a
+// defect-injected crossbar at circuit level. Inside a sweep both come
+// from the sweep's CircuitCheckMemo (arch/circuit_check_memo.hpp), which
+// computes each distinct input once; outside one the bank computes them
+// itself.
 #pragma once
 
 #include <optional>
@@ -16,6 +23,8 @@
 #include "circuit/module.hpp"
 
 namespace mnsim::arch {
+
+class CircuitCheckMemo;  // arch/circuit_check_memo.hpp
 
 struct BankReport {
   LayerMapping mapping;
@@ -58,16 +67,27 @@ struct BankReport {
 
 // Simulates the bank for `layer` (must be weighted). `attached_pooling`
 // is the pooling layer following it, if any; `next_weighted` (when given
-// and convolutional) sizes the Eq. 6 output line buffer. When
-// `solve_cache` is non-null the fault circuit-check solve reuses the
-// cached crossbar topology across banks sharing one geometry (the
-// common case: every bank clipped to fault.circuit_check_size), counted
-// in the bank's solver diagnostics.
+// and convolutional) sizes the Eq. 6 output line buffer.
+//
+// With fault injection on, the bank's fault work (the fault-error
+// estimate and, under fault.circuit_check, the defect-injected crossbar
+// solve) goes one of two ways:
+//   * `memo` non-null (a sweep): both come from the sweep's
+//     CircuitCheckMemo, which computes each distinct input once, solving
+//     circuits cold; `solve_cache` is not used;
+//   * `memo` null (a single run, or a memo-free re-check): both are
+//     computed here, and when `solve_cache` is non-null the solve reuses
+//     the cached crossbar topology across banks sharing one geometry
+//     (the common case: every bank clipped to fault.circuit_check_size),
+//     counted in the bank's solver diagnostics.
+// Every output that reaches a design record (error rates, fault count,
+// fallback count) is the same either way.
 BankReport simulate_bank(const nn::Layer& layer,
                          const nn::Layer* attached_pooling,
                          const nn::Layer* next_weighted,
                          const nn::Network& network,
                          const AcceleratorConfig& config,
-                         spice::CrossbarSolveCache* solve_cache = nullptr);
+                         spice::CrossbarSolveCache* solve_cache = nullptr,
+                         CircuitCheckMemo* memo = nullptr);
 
 }  // namespace mnsim::arch

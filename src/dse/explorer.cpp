@@ -47,14 +47,15 @@ void Constraints::validate() const {
 EvaluatedDesign evaluate_design(const nn::Network& network,
                                 const arch::AcceleratorConfig& base,
                                 const DesignPoint& point,
-                                const Constraints& constraints) {
+                                const Constraints& constraints,
+                                arch::CircuitCheckMemo* memo) {
   obs::Span span("dse.evaluate");
   constraints.validate();
   arch::AcceleratorConfig cfg = base;
   cfg.crossbar_size = point.crossbar_size;
   cfg.parallelism = point.parallelism;
   cfg.interconnect_node_nm = point.interconnect_node;
-  const auto report = arch::simulate_accelerator(network, cfg);
+  const auto report = arch::simulate_accelerator(network, cfg, memo);
 
   EvaluatedDesign out;
   out.point = point;

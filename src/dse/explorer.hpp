@@ -118,9 +118,12 @@ ExplorationResult explore(const nn::Network& network,
                           const DesignSpace& space, double error_constraint);
 
 // Evaluates one point (the sweep kernel, exposed for benches/tests).
+// `memo` is the calling sweep's circuit memo (arch/circuit_check_memo.hpp);
+// null evaluates the point on its own, with identical results.
 EvaluatedDesign evaluate_design(const nn::Network& network,
                                 const arch::AcceleratorConfig& base,
                                 const DesignPoint& point,
-                                const Constraints& constraints);
+                                const Constraints& constraints,
+                                arch::CircuitCheckMemo* memo = nullptr);
 
 }  // namespace mnsim::dse

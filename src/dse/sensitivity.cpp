@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "arch/circuit_check_memo.hpp"
 #include "tech/interconnect.hpp"
 
 namespace mnsim::dse {
@@ -29,15 +30,18 @@ SensitivityReport analyze_sensitivity(const nn::Network& network,
   Constraints unconstrained;
   unconstrained.max_error = 1.0;  // record everything
 
+  // The neighbours share the base point's fault circuits (the checks
+  // clip to fault.circuit_check_size), so one memo solves each once.
+  arch::CircuitCheckMemo memo;
   SensitivityReport report;
   report.base_point = point;
   report.base_metrics =
-      evaluate_design(network, base, point, unconstrained).metrics;
+      evaluate_design(network, base, point, unconstrained, &memo).metrics;
 
   auto probe = [&](const std::string& knob, DesignPoint varied) {
     report.entries.push_back(
         diff(knob, report.base_metrics,
-             evaluate_design(network, base, varied, unconstrained)));
+             evaluate_design(network, base, varied, unconstrained, &memo)));
   };
 
   // Crossbar size: halve / double within [4, 1024].

@@ -11,6 +11,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "arch/circuit_check_memo.hpp"
 #include "check/config_check.hpp"
 #include "check/network_check.hpp"
 #include "obs/metrics.hpp"
@@ -474,13 +475,17 @@ SweepResult run_sweep(const nn::Network& network,
     if (completed.find(gi) == completed.end()) remaining.push_back(gi);
   out.evaluated_count = static_cast<long>(remaining.size());
 
+  // One circuit memo per sweep: its points repeat the same fault
+  // circuits and estimates, which it computes once each and shares
+  // across the workers (arch/circuit_check_memo.hpp).
+  arch::CircuitCheckMemo memo;
   const auto evaluator =
       options.evaluator
           ? options.evaluator
           : std::function<EvaluatedDesign(const DesignPoint&, std::size_t)>(
                 [&](const DesignPoint& point, std::size_t) {
                   return evaluate_design(network, base, point,
-                                         options.constraints);
+                                         options.constraints, &memo);
                 });
 
   util::ThreadPool pool(base.parallel_threads);
@@ -497,6 +502,11 @@ SweepResult run_sweep(const nn::Network& network,
         }
         return record;
       });
+  obs::Registry& reg = obs::Registry::global();
+  reg.add("dse.sweep.distinct_circuits",
+          static_cast<long>(memo.distinct_circuits()));
+  reg.add("dse.sweep.distinct_fault_inputs",
+          static_cast<long>(memo.distinct_fault_inputs()));
 
   // Assemble in ascending global-index order: resumed records and fresh
   // evaluations interleave exactly as an uninterrupted run would have

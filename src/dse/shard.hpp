@@ -22,7 +22,14 @@
 //     of hanging the sweep forever;
 //   * bounded retry, then quarantine — a failing point is retried up to
 //     Max_Attempts times, then isolated with its failure category
-//     (check / numeric / timeout) while the rest of the sweep runs on.
+//     (check / numeric / timeout) while the rest of the sweep runs on;
+//   * one circuit memo per call (arch/circuit_check_memo.hpp) — the
+//     points' banks repeat the same fault estimates and fault circuit
+//     checks, so each distinct one is computed once and shared by the
+//     workers. Records are bit-identical to memo-free evaluate_design
+//     calls; the memo's sizes are published as the
+//     dse.sweep.distinct_circuits / dse.sweep.distinct_fault_inputs
+//     counters.
 //
 // merge_checkpoints() combines N shard journals into one
 // ExplorationResult bit-identical to a single-process run — the seam

@@ -197,6 +197,8 @@ numeric::BipartitePartition translate_partition(const WireStructure& ws,
 // warnings included.
 void preflight(const Netlist& nl) {
   obs::Span span("spice.preflight");
+  obs::Registry& reg = obs::Registry::global();
+  if (reg.enabled()) reg.add("spice.preflights");
   check::NetlistCheckOptions errors_only;
   errors_only.warnings = false;
   if (!check::check_netlist(nl, errors_only).has_errors()) return;

@@ -5,12 +5,21 @@
 // RNG stream and reductions happen in index order.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 #include "accuracy/variation.hpp"
+#include "dse/checkpoint.hpp"
 #include "dse/report.hpp"
+#include "dse/shard.hpp"
 #include "nn/functional_sim.hpp"
+#include "nn/parser.hpp"
 #include "nn/topologies.hpp"
+#include "obs/metrics.hpp"
 #include "spice/crossbar_netlist.hpp"
 #include "spice/mna.hpp"
+#include "util/config.hpp"
+#include "util/parallel.hpp"
 
 namespace mnsim {
 namespace {
@@ -122,6 +131,218 @@ TEST(ParallelDeterminism, DseSweepWithFaultInjectionMatchesSerial) {
   for (const auto& d : serial.designs)
     if (d.metrics.faults_injected > 0) any_faults = true;
   EXPECT_TRUE(any_faults);  // the faulted path actually ran
+}
+
+// --- sweep circuit memo ----------------------------------------------------
+//
+// run_sweep serves every bank's fault estimate and circuit check from one
+// CircuitCheckMemo per sweep. The memo must be invisible in the records:
+// every point equals a memo-free evaluate_design of the same point, bit
+// for bit, at any thread count and fault seed.
+
+// LeNet under the reference accelerator with the per-bank fault circuit
+// check on (ci_sweep.ini's [fault] section): 330 points, 75 of them
+// refused by MN-CFG-004 (Circuit_Check_Size above the 4x4/8x8 crossbars).
+nn::Network lenet() {
+  return nn::parse_network(util::Config::parse(R"(
+[network]
+name = lenet5
+type = CNN
+input_bits = 8
+weight_bits = 8
+[layer1]
+kind = conv
+in_channels = 1
+out_channels = 6
+kernel = 5
+in_width = 32
+in_height = 32
+[layer2]
+kind = pool
+window = 2
+[layer3]
+kind = conv
+in_channels = 6
+out_channels = 16
+kernel = 5
+in_width = 14
+in_height = 14
+[layer4]
+kind = pool
+window = 2
+[layer5]
+kind = fc
+in = 400
+out = 120
+[layer6]
+kind = fc
+in = 120
+out = 84
+[layer7]
+kind = fc
+in = 84
+out = 10
+)"));
+}
+
+arch::AcceleratorConfig fault_check_config(std::uint32_t seed, int threads) {
+  auto cfg = arch::AcceleratorConfig::from_config(util::Config::parse(R"(
+Interface_Number = [128, 128]
+Crossbar_Size = 128
+Pooling_Size = 2
+Weight_Polarity = 2
+CMOS_Tech = 45
+Cell_Type = 1T1R
+Memristor_Model = RRAM
+Interconnect_Tech = 45
+Parallelism_Degree = 0
+Resistance_Range = [500, 500e3]
+Output_Bits = 8
+[fault]
+Stuck_At_0_Rate = 0.001
+Circuit_Check = true
+Circuit_Check_Size = 32
+)"));
+  cfg.fault.seed = seed;
+  cfg.parallel_threads = threads;
+  return cfg;
+}
+
+// Broken lines and retention drift on top: open cells and drift-scaled
+// states enter both memo keys.
+arch::AcceleratorConfig broken_line_config(int threads) {
+  auto cfg = fault_check_config(1, threads);
+  cfg.fault.broken_wordline_rate = 0.05;
+  cfg.fault.broken_bitline_rate = 0.05;
+  cfg.fault.retention_time = 1e6;
+  return cfg;
+}
+
+// A memo-free evaluate_design of one point: the design, or the failure
+// text a sweep records for it.
+struct ReferencePoint {
+  bool evaluated = false;
+  dse::EvaluatedDesign design;
+  std::string failure;
+};
+
+struct MemoFreeReference {
+  std::vector<ReferencePoint> points;
+  long faults_injected = 0;  // summed over the evaluated points
+};
+
+// Memo-free evaluation of every point of paper_default(). Points are
+// independent, so the reference runs on a pool; each evaluation still
+// solves its own circuits with no memo.
+MemoFreeReference memo_free_reference(const nn::Network& net,
+                                      const arch::AcceleratorConfig& cfg) {
+  const auto points = dse::DesignSpace::paper_default().enumerate();
+  MemoFreeReference ref;
+  ref.points = util::parallel_map(
+      4, points.size(), [&](std::size_t i, std::size_t) {
+        ReferencePoint p;
+        try {
+          p.design = dse::evaluate_design(net, cfg, points[i],
+                                          dse::Constraints{});
+          p.evaluated = true;
+        } catch (const std::exception& e) {
+          p.failure = e.what();
+        }
+        return p;
+      });
+  for (const ReferencePoint& p : ref.points)
+    if (p.evaluated) ref.faults_injected += p.design.metrics.faults_injected;
+  return ref;
+}
+
+// The seed-1 reference is shared by the two memo tests below.
+const MemoFreeReference& seed1_reference() {
+  static const MemoFreeReference ref =
+      memo_free_reference(lenet(), fault_check_config(1, 1));
+  return ref;
+}
+
+dse::SweepResult fault_check_sweep(const arch::AcceleratorConfig& cfg) {
+  return dse::run_sweep(lenet(), cfg, dse::DesignSpace::paper_default(),
+                        dse::SweepOptions{});
+}
+
+void expect_matches_reference(const dse::SweepResult& sweep,
+                              const MemoFreeReference& ref) {
+  ASSERT_EQ(sweep.records.size(), ref.points.size());
+  long evaluated = 0;
+  for (std::size_t i = 0; i < ref.points.size(); ++i) {
+    const dse::CheckpointRecord& swept = sweep.records[i];
+    const ReferencePoint& expect = ref.points[i];
+    ASSERT_EQ(swept.index, i);
+    if (expect.evaluated) {
+      ++evaluated;
+      dse::CheckpointRecord again = swept;
+      again.design = expect.design;
+      EXPECT_EQ(dse::encode_checkpoint_record(swept),
+                dse::encode_checkpoint_record(again))
+          << "point " << i;
+    } else {
+      EXPECT_FALSE(swept.design.evaluated) << "point " << i;
+      EXPECT_EQ(swept.design.failure, expect.failure) << "point " << i;
+    }
+  }
+  EXPECT_EQ(evaluated, 255);
+  EXPECT_GT(ref.faults_injected, 0);
+}
+
+TEST(ParallelDeterminism, SweepCircuitMemoMatchesMemoFreeEvaluation) {
+  const nn::Network net = lenet();
+  for (const std::uint32_t seed : {1u, 7u}) {
+    const MemoFreeReference ref =
+        seed == 1 ? seed1_reference()
+                  : memo_free_reference(net, fault_check_config(seed, 1));
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
+                   std::to_string(threads));
+      expect_matches_reference(
+          fault_check_sweep(fault_check_config(seed, threads)), ref);
+    }
+  }
+  SCOPED_TRACE("broken lines + retention");
+  expect_matches_reference(
+      fault_check_sweep(broken_line_config(4)),
+      memo_free_reference(net, broken_line_config(1)));
+}
+
+TEST(ParallelDeterminism, SweepCircuitMemoSolvesEachCircuitOnce) {
+  // Compute-once makes the solver work a function of the distinct
+  // circuits alone: one cold solve, and so one pre-flight, per distinct
+  // circuit, whatever the thread count.
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const MemoFreeReference& ref = seed1_reference();
+  std::map<std::string, long> first;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::vector<std::string> names = {
+        "spice.solves", "spice.preflights", "dse.sweep.distinct_circuits",
+        "dse.sweep.distinct_fault_inputs", "fault.faults_injected"};
+    std::map<std::string, long> before;
+    for (const auto& n : names) before[n] = reg.counter(n);
+    fault_check_sweep(fault_check_config(1, threads));
+    std::map<std::string, long> delta;
+    for (const auto& n : names) delta[n] = reg.counter(n) - before[n];
+
+    const long circuits = delta["dse.sweep.distinct_circuits"];
+    EXPECT_GT(circuits, 0);
+    EXPECT_LT(circuits, 255);  // far fewer than one per evaluated point
+    EXPECT_EQ(delta["spice.solves"], circuits);
+    EXPECT_EQ(delta["spice.preflights"], circuits);
+    EXPECT_GT(delta["dse.sweep.distinct_fault_inputs"], 0);
+    EXPECT_EQ(delta["fault.faults_injected"], ref.faults_injected);
+    if (first.empty())
+      first = delta;
+    else
+      EXPECT_EQ(delta, first);
+  }
+  reg.set_enabled(was_enabled);
 }
 
 // --- variation Monte-Carlo ------------------------------------------------
