@@ -23,9 +23,10 @@
 // poll their watchdog token, and a compute that throws stores nothing.
 //
 // The memo is scoped to one sweep (dse::run_sweep owns one per call,
-// dse::analyze_sensitivity one per analysis), not to the process: a
-// single `sim` run reports the diagnostics of its own solves, and a
-// memo-free evaluate_design stays an independent re-solve.
+// dse::analyze_sensitivity one per analysis, dse::optimize_per_bank one
+// per search), not to the process: a single `sim` run reports the
+// diagnostics of its own solves, and a memo-free evaluate_design stays
+// an independent re-solve.
 #pragma once
 
 #include <cstddef>

@@ -8,8 +8,9 @@
 // [code]`) and machine-readable JSON, and travel through exceptions
 // (CheckError / ParseError) so solvers can refuse-with-diagnosis instead
 // of failing numerically. The full catalogue, with one example trigger
-// and remedy per code, lives in docs/DIAGNOSTICS.md; tools/lint.py
-// enforces that every code constructed here is catalogued there.
+// and remedy per code, lives in docs/DIAGNOSTICS.md; tools/analyze
+// (rule mn-code-extraction) enforces that every code constructed here
+// is catalogued there.
 //
 // This header is a dependency leaf (std only) so any layer — spice, arch,
 // dse, sim — can carry diagnostics without include cycles.

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "arch/circuit_check_memo.hpp"
 #include "arch/computation_bank.hpp"
 
 namespace mnsim::dse {
@@ -65,7 +66,11 @@ HeteroResult optimize_per_bank(const nn::Network& network,
   HeteroResult result;
   const auto points = space.enumerate();
 
-  // Evaluate every candidate per bank.
+  // Evaluate every candidate per bank. Points that differ only in a knob
+  // the clipped fault check does not see share its circuit, so one memo
+  // solves each distinct check once; the records it serves are the
+  // memo-free ones (arch/circuit_check_memo.hpp).
+  arch::CircuitCheckMemo memo;
   std::vector<std::vector<Candidate>> candidates(weighted.size());
   for (std::size_t b = 0; b < weighted.size(); ++b) {
     const nn::Layer* next = b + 1 < weighted.size() ? weighted[b + 1]
@@ -76,7 +81,8 @@ HeteroResult optimize_per_bank(const nn::Network& network,
       cfg.parallelism = point.parallelism;
       cfg.interconnect_node_nm = point.interconnect_node;
       const auto bank = arch::simulate_bank(*weighted[b], pooling_after[b],
-                                            next, network, cfg);
+                                            next, network, cfg, nullptr,
+                                            &memo);
       ++result.bank_evaluations;
       candidates[b].push_back({point, bank_objective(bank, objective),
                                std::log1p(bank.epsilon_worst)});
@@ -131,7 +137,8 @@ HeteroResult optimize_per_bank(const nn::Network& network,
     choice[best_bank] = best_candidate;
   }
 
-  // Materialize the chosen configuration and simulate exactly.
+  // Materialize the chosen configuration and simulate exactly. This run
+  // stays memo-free, so its solver diagnostics are a single run's.
   std::vector<arch::AcceleratorConfig> configs;
   configs.reserve(weighted.size());
   for (std::size_t b = 0; b < weighted.size(); ++b) {

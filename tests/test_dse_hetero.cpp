@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "nn/topologies.hpp"
+#include "obs/metrics.hpp"
+#include "sim/json_report.hpp"
 
 namespace mnsim::dse {
 namespace {
@@ -97,6 +102,126 @@ TEST(Hetero, InvalidConstraintThrows) {
   EXPECT_THROW(optimize_per_bank(net, base(), small_space(),
                                  Objective::kArea, 0.0),
                std::invalid_argument);
+}
+
+arch::AcceleratorConfig fault_checked() {
+  auto c = base();
+  c.fault.stuck_at_zero_rate = 0.01;
+  c.fault.circuit_check = true;
+  c.fault.circuit_check_size = 16;
+  return c;
+}
+
+arch::AcceleratorConfig at(arch::AcceleratorConfig cfg, const DesignPoint& p) {
+  cfg.crossbar_size = p.crossbar_size;
+  cfg.parallelism = p.parallelism;
+  cfg.interconnect_node_nm = p.interconnect_node;
+  return cfg;
+}
+
+// optimize_per_bank for kEnergy with every candidate from a memo-free
+// simulate_bank: the same candidate table and greedy repair.
+std::vector<DesignPoint> memo_free_energy_choice(
+    const nn::Network& net, const arch::AcceleratorConfig& cfg,
+    const DesignSpace& space, double error_constraint) {
+  std::vector<const nn::Layer*> weighted;
+  for (const auto& layer : net.layers)
+    if (layer.is_weighted()) weighted.push_back(&layer);
+  const auto points = space.enumerate();
+  struct Cand {
+    double objective;
+    double log_error;
+  };
+  std::vector<std::vector<Cand>> cands(weighted.size());
+  std::vector<std::size_t> choice(weighted.size(), 0);
+  for (std::size_t b = 0; b < weighted.size(); ++b) {
+    const nn::Layer* next = b + 1 < weighted.size() ? weighted[b + 1]
+                                                    : nullptr;
+    for (const auto& p : points) {
+      const auto bank =
+          arch::simulate_bank(*weighted[b], nullptr, next, net, at(cfg, p));
+      cands[b].push_back(
+          {bank.energy_per_sample, std::log1p(bank.epsilon_worst)});
+      if (cands[b].back().objective < cands[b][choice[b]].objective)
+        choice[b] = cands[b].size() - 1;
+    }
+  }
+  auto total = [&] {
+    double s = 0.0;
+    for (std::size_t b = 0; b < weighted.size(); ++b)
+      s += cands[b][choice[b]].log_error;
+    return s;
+  };
+  while (total() > std::log1p(error_constraint)) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_b = weighted.size();
+    std::size_t best_c = 0;
+    for (std::size_t b = 0; b < weighted.size(); ++b) {
+      const Cand& cur = cands[b][choice[b]];
+      for (std::size_t c = 0; c < cands[b].size(); ++c) {
+        const double reduction = cur.log_error - cands[b][c].log_error;
+        if (!(reduction > 0)) continue;
+        const double ratio = (cands[b][c].objective - cur.objective) /
+                             reduction;
+        if (ratio < best) {
+          best = ratio;
+          best_b = b;
+          best_c = c;
+        }
+      }
+    }
+    if (best_b == weighted.size()) break;
+    choice[best_b] = best_c;
+  }
+  std::vector<DesignPoint> chosen;
+  for (std::size_t b = 0; b < weighted.size(); ++b)
+    chosen.push_back(points[choice[b]]);
+  return chosen;
+}
+
+TEST(Hetero, FaultCheckedSearchSolvesEachCircuitOnce) {
+  // Candidates that differ only in a knob the clipped fault check does
+  // not see share its circuit; the search's memo solves each once, and
+  // the choices and report still equal a memo-free search bit for bit.
+  auto net = nn::make_mlp({512, 256, 128});
+  const auto cfg = fault_checked();
+  const double constraint = 0.2;  // binding: the greedy repair moves
+
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  long before = reg.counter("spice.solves");
+  const auto result = optimize_per_bank(net, cfg, small_space(),
+                                        Objective::kEnergy, constraint);
+  const long solves = reg.counter("spice.solves") - before;
+  before = reg.counter("spice.solves");
+  const auto again = optimize_per_bank(net, cfg, small_space(),
+                                       Objective::kEnergy, constraint);
+  const long solves_again = reg.counter("spice.solves") - before;
+  reg.set_enabled(was_enabled);
+
+  EXPECT_TRUE(result.feasible);
+  EXPECT_GT(result.report.solver.faults_injected, 0);
+  ASSERT_EQ(result.bank_evaluations, 48);  // 2 banks x 24 points
+  EXPECT_GT(solves, 0);
+  EXPECT_LT(solves, result.bank_evaluations);
+  EXPECT_EQ(solves_again, solves);
+
+  const auto reference =
+      memo_free_energy_choice(net, cfg, small_space(), constraint);
+  ASSERT_EQ(result.per_bank.size(), reference.size());
+  std::vector<arch::AcceleratorConfig> configs;
+  for (std::size_t b = 0; b < reference.size(); ++b) {
+    EXPECT_EQ(result.per_bank[b].crossbar_size, reference[b].crossbar_size);
+    EXPECT_EQ(result.per_bank[b].parallelism, reference[b].parallelism);
+    EXPECT_EQ(result.per_bank[b].interconnect_node,
+              reference[b].interconnect_node);
+    configs.push_back(at(cfg, reference[b]));
+  }
+  EXPECT_EQ(sim::report_to_json(net, result.report),
+            sim::report_to_json(net, arch::simulate_accelerator(net, configs)));
+  EXPECT_EQ(sim::report_to_json(net, again.report),
+            sim::report_to_json(net, result.report));
 }
 
 TEST(Hetero, HeterogeneousSimulationValidatesConfigCount) {

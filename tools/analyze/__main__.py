@@ -2,19 +2,21 @@
 """mnsim-analyze: compile-database-driven semantic analyzer for MNSIM.
 
 Run as `python3 tools/analyze` from the repo root (or anywhere, with
---repo). The compile database defines the analyzed translation-unit set;
-nine rules guard the invariants that keep the simulator's numbers
-trustworthy — numeric hygiene, diagnostic-code integrity, and the
-concurrency discipline (parallel-capture / raw-thread / atomic-order)
-that complements the Clang -Wthread-safety capability annotations (see
-docs/STATIC_ANALYSIS.md for the catalogue and the escape/baseline
-workflow).
+--repo). The compile database defines the analyzed translation-unit set
+over src/, tests/, bench/ and examples/; nine rules guard the invariants
+that keep the simulator's numbers trustworthy — numeric hygiene, seeded
+randomness, diagnostic-code integrity (the MN-* catalogue has its only
+check here), and the concurrency discipline (parallel-capture /
+raw-thread / atomic-order) that complements the Clang -Wthread-safety
+capability annotations. Each rule has its own scope; all but
+unseeded-rng apply to src/ only (see docs/STATIC_ANALYSIS.md for the
+catalogue and the escape/baseline workflow).
 
-Backends:
-  clang   libclang (clang.cindex) semantic AST — real operand types.
-  tokens  exact token-stream analysis — no type info from other TUs,
-          but immune to comments/strings/line-splits; runs anywhere.
-  auto    clang when a libclang is importable, tokens otherwise.
+The rules run on an exact token stream (tools/analyze/cpptok.py):
+immune to comments, strings and line splits, standard-library-only, so
+every host runs the same analysis. There is no type information from
+other files: floating-point operands are recognised from declarations
+in the same file.
 
 Exit status: 0 clean (baselined findings allowed), 1 new findings or a
 stale baseline, 2 usage/environment error.
@@ -33,7 +35,7 @@ import rules_tokens
 import sarif
 
 VERSION = "1.0"
-DEFAULT_ROOTS = ["src"]
+DEFAULT_ROOTS = ["src", "tests", "bench", "examples"]
 DIAG_CATALOGUE = "docs/DIAGNOSTICS.md"
 
 
@@ -55,10 +57,9 @@ def build_contexts(files: list[pathlib.Path], repo: pathlib.Path,
 
 
 def mn_code_findings(contexts: dict[str, rules_tokens.FileContext],
-                     repo: pathlib.Path,
-                     emitted: dict[str, tuple[str, int, int]],
-                     ) -> list[engine.Finding]:
+                     repo: pathlib.Path) -> list[engine.Finding]:
     """Cross-check string-literal MN-* codes against the catalogue."""
+    emitted: dict[str, tuple[str, int, int]] = {}
     for rel in sorted(contexts):
         ctx = contexts[rel]
         if not rules_tokens.rule_applies("mn-code-extraction", rel):
@@ -109,11 +110,9 @@ def run(argv: list[str]) -> int:
                              "script)")
     parser.add_argument("--roots", nargs="*", default=DEFAULT_ROOTS,
                         help="repo-relative trees to analyze "
-                             "(default: src)")
+                             "(default: src tests bench examples)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated subset of rules to run")
-    parser.add_argument("--backend", choices=("auto", "clang", "tokens"),
-                        default="auto")
     parser.add_argument("--baseline", default="tools/analyze/baseline.json",
                         help="repo-relative baseline file")
     parser.add_argument("--write-baseline", metavar="REASON", default=None,
@@ -121,13 +120,6 @@ def run(argv: list[str]) -> int:
                              "baseline with this reason, then exit 0")
     parser.add_argument("--sarif", default=None,
                         help="write a SARIF 2.1.0 report to this path")
-    parser.add_argument("--mn-codes-out", default=None,
-                        help="write the extracted MN-* code map (JSON) "
-                             "for tools/lint.py delegation")
-    parser.add_argument("--thread-uses-out", default=None,
-                        help="write the raw-thread construction-site map "
-                             "(JSON) for tools/lint.py thread-include "
-                             "delegation")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--version", action="version",
                         version=f"mnsim-analyze {VERSION}")
@@ -167,20 +159,8 @@ def run(argv: list[str]) -> int:
               f"under {', '.join(args.roots)}", file=sys.stderr)
         return 2
 
-    # Backend selection.
-    import rules_clang
-    backend = args.backend
-    if backend == "auto":
-        backend = "clang" if rules_clang.available() else "tokens"
-    elif backend == "clang" and not rules_clang.available():
-        print(f"mnsim-analyze: libclang backend requested but unavailable: "
-              f"{rules_clang.unavailable_reason()}", file=sys.stderr)
-        return 2
-
     lex_errors: list[str] = []
-    files = [tu.path for tu in tus] + [
-        tu.path for tu in compiledb.header_pseudo_tus(repo, args.roots)
-    ]
+    files = tus + compiledb.header_pseudo_tus(repo, args.roots)
     contexts = build_contexts(files, repo, lex_errors)
     if lex_errors:
         for err in lex_errors:
@@ -188,42 +168,14 @@ def run(argv: list[str]) -> int:
         return 2
 
     findings: list[engine.Finding] = []
-
-    # Token rules. Under the clang backend the two type-sensitive rules
-    # come from the AST instead.
-    ast_rules = {"fp-equality", "quantity-narrowing"} \
-        if backend == "clang" else set()
     for rel in sorted(contexts):
         ctx = contexts[rel]
         for rule, check in rules_tokens.PER_FILE_CHECKS.items():
-            if rule in ast_rules or not rule_on(rule):
-                continue
-            if not rules_tokens.rule_applies(rule, rel):
-                continue
-            findings.extend(check(ctx))
+            if rule_on(rule) and rules_tokens.rule_applies(rule, rel):
+                findings.extend(check(ctx))
 
-    if backend == "clang" and (rule_on("fp-equality")
-                               or rule_on("quantity-narrowing")):
-        analyzer = rules_clang.ClangAnalyzer(repo)
-        visited: set[str] = set()
-        ast_findings: list[engine.Finding] = []
-        for tu in tus:
-            ast_findings.extend(
-                analyzer.analyze_tu(tu.path, tu.args, visited, contexts))
-        # A header reached from several TUs yields duplicates; collapse.
-        seen_keys = set()
-        for f in ast_findings:
-            key = (f.rule, f.path, f.line, f.col)
-            if key in seen_keys or not rule_on(f.rule):
-                continue
-            seen_keys.add(key)
-            findings.append(f)
-        for err in analyzer.parse_errors:
-            print(f"mnsim-analyze: warning: {err}", file=sys.stderr)
-
-    emitted_codes: dict[str, tuple[str, int, int]] = {}
     if rule_on("mn-code-extraction"):
-        findings.extend(mn_code_findings(contexts, repo, emitted_codes))
+        findings.extend(mn_code_findings(contexts, repo))
 
     # Escapes: filter rule findings, surface malformed escapes.
     filtered: list[engine.Finding] = []
@@ -237,36 +189,6 @@ def run(argv: list[str]) -> int:
             continue
         filtered.append(f)
     findings = filtered
-
-    if args.mn_codes_out:
-        import json
-        pathlib.Path(args.mn_codes_out).write_text(json.dumps({
-            "generator": f"mnsim-analyze {VERSION}",
-            "backend": backend,
-            "codes": {code: f"{rel}:{line}"
-                      for code, (rel, line, _c) in sorted(
-                          emitted_codes.items())},
-        }, indent=2) + "\n")
-
-    if args.thread_uses_out:
-        # Raw construction sites (std::thread/jthread/async), escaped or
-        # not: lint.py's thread-include rule cites them as diagnosis, so
-        # an escaped-but-present use must still appear here.
-        import json
-        uses: dict[str, list[str]] = {}
-        for rel in sorted(contexts):
-            if not rules_tokens.rule_applies("raw-thread", rel):
-                continue
-            sites = [f"{f.line}:{f.col}" for f in
-                     rules_tokens.PER_FILE_CHECKS["raw-thread"](
-                         contexts[rel])]
-            if sites:
-                uses[rel] = sites
-        pathlib.Path(args.thread_uses_out).write_text(json.dumps({
-            "generator": f"mnsim-analyze {VERSION}",
-            "backend": backend,
-            "uses": uses,
-        }, indent=2) + "\n")
 
     baseline_path = repo / args.baseline
     if args.write_baseline is not None:
@@ -289,7 +211,6 @@ def run(argv: list[str]) -> int:
 
     result = engine.classify(findings, baseline)
     result.files_analyzed = len(contexts)
-    result.backend = backend
 
     for f in result.new:
         print(f.render())
@@ -302,13 +223,11 @@ def run(argv: list[str]) -> int:
     print(f"mnsim-analyze: {status} — {len(result.new)} new finding(s), "
           f"{len(result.baselined)} baselined, "
           f"{len(result.stale_baseline)} stale baseline entr(ies); "
-          f"{result.files_analyzed} files, {len(tus)} TUs, "
-          f"backend={backend}", file=sys.stderr)
+          f"{result.files_analyzed} files, {len(tus)} TUs", file=sys.stderr)
 
     if args.sarif:
         pathlib.Path(args.sarif).write_text(sarif.render(
-            result.new + result.baselined, backend=backend,
-            tool_version=VERSION))
+            result.new + result.baselined, tool_version=VERSION))
 
     return 1 if result.gate_failed else 0
 

@@ -2,55 +2,22 @@
 
 The analyzer is driven by the compile database CMake exports
 (-DCMAKE_EXPORT_COMPILE_COMMANDS=ON): the database defines the exact set
-of translation units the build actually compiles, and — for the libclang
-backend — the exact flags each one is compiled with, so the analysis sees
-the same preprocessor world the compiler did.
+of translation units the build actually compiles, so a source file the
+build drops is not analyzed either.
 
-Headers never appear in a compile database. The libclang backend reaches
-them through their including TUs (cursors are attributed to the header's
-own file); the token backend adds repo headers under the analyzed roots
-as pseudo-TUs so header-only code is not a blind spot there either.
+Headers never appear in a compile database, so repo headers under the
+analyzed roots are added as pseudo-TUs and header-only code is not a
+blind spot.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
-import shlex
 
 
 class CompileDbError(ValueError):
     pass
-
-
-@dataclasses.dataclass(frozen=True)
-class TranslationUnit:
-    path: pathlib.Path  # absolute, resolved
-    args: tuple[str, ...]  # clang-style args (no compiler, no -c/-o/input)
-    directory: pathlib.Path
-
-
-# Flags that drive codegen/deps, not semantics; libclang chokes on or
-# ignores them, so strip them before reparsing.
-_DROP_WITH_VALUE = {"-o", "-MF", "-MT", "-MQ", "--output"}
-_DROP_BARE = {"-c", "-MD", "-MMD", "-MP", "-pipe"}
-
-
-def _clean_args(argv: list[str], source: str) -> tuple[str, ...]:
-    out: list[str] = []
-    skip = False
-    for arg in argv[1:]:  # argv[0] is the compiler
-        if skip:
-            skip = False
-            continue
-        if arg in _DROP_WITH_VALUE:
-            skip = True
-            continue
-        if arg in _DROP_BARE or arg == source:
-            continue
-        out.append(arg)
-    return tuple(out)
 
 
 def locate(hint: pathlib.Path) -> pathlib.Path:
@@ -65,7 +32,9 @@ def locate(hint: pathlib.Path) -> pathlib.Path:
     return hint
 
 
-def load(db_path: pathlib.Path) -> list[TranslationUnit]:
+def load(db_path: pathlib.Path) -> list[pathlib.Path]:
+    """Absolute, resolved source paths of the database's TUs, deduplicated
+    (a TU compiled into several targets appears once)."""
     db_path = locate(db_path)
     try:
         entries = json.loads(db_path.read_text())
@@ -74,48 +43,31 @@ def load(db_path: pathlib.Path) -> list[TranslationUnit]:
     if not isinstance(entries, list) or not entries:
         raise CompileDbError(f"{db_path}: empty compile database")
 
-    tus: list[TranslationUnit] = []
+    tus: list[pathlib.Path] = []
     seen: set[pathlib.Path] = set()
     for entry in entries:
-        directory = pathlib.Path(entry["directory"])
-        raw = entry.get("arguments")
-        if raw is None:
-            raw = shlex.split(entry["command"])
-        source = entry["file"]
-        path = (directory / source).resolve()
-        if path in seen:  # a TU compiled into several targets
-            continue
-        seen.add(path)
-        tus.append(
-            TranslationUnit(
-                path=path,
-                args=_clean_args(list(raw), source),
-                directory=directory,
-            )
-        )
+        path = (pathlib.Path(entry["directory"]) / entry["file"]).resolve()
+        if path not in seen:
+            seen.add(path)
+            tus.append(path)
     return tus
 
 
-def select(tus: list[TranslationUnit], repo: pathlib.Path,
-           roots: list[str]) -> list[TranslationUnit]:
+def select(tus: list[pathlib.Path], repo: pathlib.Path,
+           roots: list[str]) -> list[pathlib.Path]:
     """Keep TUs whose file lives under one of the repo-relative roots."""
     prefixes = tuple(str((repo / r).resolve()) + "/" for r in roots)
-    return [tu for tu in tus if str(tu.path).startswith(prefixes)]
+    return [tu for tu in tus if str(tu).startswith(prefixes)]
 
 
 def header_pseudo_tus(repo: pathlib.Path,
-                      roots: list[str]) -> list[TranslationUnit]:
-    """Repo headers under the analyzed roots, for the token backend."""
-    out: list[TranslationUnit] = []
+                      roots: list[str]) -> list[pathlib.Path]:
+    """Repo headers under the analyzed roots."""
+    out: list[pathlib.Path] = []
     for root in roots:
         base = repo / root
         if not base.is_dir():
             continue
         for ext in ("*.hpp", "*.h"):
-            for path in sorted(base.rglob(ext)):
-                out.append(
-                    TranslationUnit(
-                        path=path.resolve(), args=(), directory=repo
-                    )
-                )
+            out.extend(path.resolve() for path in sorted(base.rglob(ext)))
     return out

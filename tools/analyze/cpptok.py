@@ -1,4 +1,4 @@
-"""A small, exact C++ lexer for the mnsim-analyze fallback backend.
+"""A small, exact C++ lexer for mnsim-analyze.
 
 This is not a parser: it produces a flat token stream with source
 positions, with comments and preprocessor directives stripped but

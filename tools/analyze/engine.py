@@ -175,7 +175,6 @@ class RunResult:
     baselined: list[Finding]
     stale_baseline: list[str]  # fingerprints no longer matched
     files_analyzed: int = 0
-    backend: str = ""
 
     @property
     def gate_failed(self) -> bool:

@@ -2,10 +2,10 @@
 
 These run on the exact token stream from cpptok (comments and strings
 can never confuse them, constructs may span lines) plus a flow-insensitive
-per-file symbol table of floating-point names. The libclang backend
-(rules_clang) upgrades the type-sensitive rules with real semantic types
-when a libclang is available; the rule *semantics* — what counts as a
-violation, what counts as handled — live here and are shared.
+per-file symbol table of floating-point names. Operand types declared in
+another file are not seen: a comparison of two values whose types come
+only from an included header is classified from the names and literals
+in this file alone.
 
 Rule catalogue (see docs/STATIC_ANALYSIS.md for the workflow):
 
@@ -22,9 +22,7 @@ Rule catalogue (see docs/STATIC_ANALYSIS.md for the workflow):
 The three concurrency rules cover what Clang's -Wthread-safety pass
 cannot see (capture discipline, thread provenance, ordering rationale);
 the capability annotations in src/util/thread_safety.hpp cover lock/
-data associations. Both backends run these token implementations — the
-libclang backend upgrades only the type-sensitive rules — so the two
-backends agree on concurrency findings by construction.
+data associations.
 """
 
 from __future__ import annotations
@@ -59,8 +57,9 @@ RULE_DOCS: dict[str, str] = {
         "(util::MutexLock), threads stay joinable and owned"
     ),
     "unseeded-rng": (
-        "RNG engine constructed without an explicit seed outside "
-        "src/util; fresh entropy breaks bit-identical reproducibility"
+        "std::random_device, or an RNG engine constructed without an "
+        "explicit seed, in src/ (outside src/util), tests/, bench/ or "
+        "examples/; fresh entropy breaks bit-identical reproducibility"
     ),
     "mn-code-extraction": (
         "MN-* diagnostic codes in string literals must match "
@@ -90,7 +89,9 @@ RULE_DOCS: dict[str, str] = {
 }
 
 # Which repo-relative prefixes each rule applies to (None = all analyzed
-# files), and which it is excluded from.
+# files), and which it is excluded from. Only unseeded-rng reaches past
+# src/: a test or bench that draws fresh entropy is as irreproducible as
+# library code that does.
 RULE_SCOPE: dict[str, tuple[tuple[str, ...] | None, tuple[str, ...]]] = {
     "fp-equality": (("src/numeric/", "src/spice/", "src/accuracy/"), ()),
     "quantity-narrowing": (("src/",), ()),
@@ -101,7 +102,9 @@ RULE_SCOPE: dict[str, tuple[tuple[str, ...] | None, tuple[str, ...]]] = {
     "lock-discipline": (
         ("src/",), ("src/util/parallel.", "src/util/thread_safety.")
     ),
-    "unseeded-rng": (("src/",), ("src/util/",)),
+    "unseeded-rng": (
+        ("src/", "tests/", "bench/", "examples/"), ("src/util/",)
+    ),
     "mn-code-extraction": (("src/",), ()),
     "parallel-capture": (("src/",), ("src/util/parallel.",)),
     "raw-thread": (("src/",), ("src/util/parallel.",)),

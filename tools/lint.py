@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """MNSIM custom lints, run by the CI static-analysis job (and locally).
 
-Six rules, all guarding invariants the compiler cannot see on its own:
+Four line-oriented rules guarding source conventions the compiler cannot
+see on its own. Seeded randomness and the MN-* diagnostic catalogue are
+checked by the analyzer (`python3 tools/analyze`, rules `unseeded-rng`
+and `mn-code-extraction`), not here: each concern has one owner.
 
 1. raw-double-physical-param
    Headers in src/tech and src/circuit must not declare new raw-`double`
@@ -15,25 +18,7 @@ Six rules, all guarding invariants the compiler cannot see on its own:
      * src/circuit/module.hpp (the Ppa aggregation struct is the
        documented raw-double boundary; see docs/STATIC_ANALYSIS.md).
 
-2. nondeterministic-rng
-   `std::random_device`, and unseeded `std::mt19937` / `mt19937_64` /
-   `default_random_engine` constructions, are forbidden outside src/util.
-   Every stochastic component takes an explicit seed (PR 2's bit-identical
-   parallel determinism depends on it); fresh entropy anywhere else breaks
-   reproducibility silently.
-
-3. undocumented-diagnostic
-   Every `MN-*` diagnostic code constructed anywhere under src/ must be
-   catalogued in docs/DIAGNOSTICS.md, and the catalogue must not carry
-   codes the source no longer emits. The pre-flight analyzer's codes are
-   a published interface (tests, CI gates, and downstream tooling key on
-   them); this keeps the contract complete in both directions.
-   With `--mn-codes <json>` (the map written by `mnsim-analyze
-   --mn-codes-out`) the emitted set comes from the analyzer's
-   string-literal extraction instead of a grep, so codes that appear
-   only in comments stop counting as emitted.
-
-4. raw-chrono-timing
+2. raw-chrono-timing
    `std::chrono` is forbidden in src/ outside src/obs/. Ad-hoc timing in
    library code bypasses the observability layer (docs/OBSERVABILITY.md):
    it is invisible in trace exports, double-counts against obs::Span
@@ -43,7 +28,7 @@ Six rules, all guarding invariants the compiler cannot see on its own:
    line. Benches, tests and examples measure wall clock on purpose and
    are exempt.
 
-5. raw-ofstream-output
+3. raw-ofstream-output
    `std::ofstream` is forbidden in src/ and examples/. Output files are
    written through util::atomic_file (write-temp + fsync + rename, or
    DurableAppender for journals; docs/ROBUSTNESS.md): a raw ofstream can
@@ -52,17 +37,15 @@ Six rules, all guarding invariants the compiler cannot see on its own:
    Escape: `// lint: allow-raw-ofstream(<why>)` on the same or previous
    line. Benches and tests are exempt (scratch output, failure paths).
 
-6. thread-include
+4. thread-include
    `#include <thread>` / `#include <future>` are forbidden in src/
    outside src/util/. Concurrency goes through util::ThreadPool
    (src/util/parallel.hpp): a bare std::thread bypasses the pool's
    deterministic slicing, error aggregation, and the MN_* capability
-   annotations the Clang thread-safety gate checks. Detailed diagnosis
-   of *construction* sites belongs to the analyzer's `raw-thread` rule;
-   with `--thread-uses <json>` (the map written by `mnsim-analyze
-   --thread-uses-out`) the finding cites the analyzer's token-exact
-   construction sites instead of just the include line — the same
-   delegation shape rule 3 uses for MN-* codes.
+   annotations the Clang thread-safety gate checks. The analyzer's token
+   stream drops preprocessor lines, so the include itself is checked
+   here; the *construction* sites belong to the analyzer's `raw-thread`
+   rule, which the finding points at.
    Escape: `// lint: allow-thread-include(<why>)` on the same or
    previous line.
 
@@ -72,7 +55,6 @@ Exit status: 0 clean, 1 findings, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import re
 import sys
@@ -161,32 +143,7 @@ def check_raw_double(path: pathlib.Path, rel: str, findings: list[str]) -> None:
             )
 
 
-# ---- rule 2: nondeterministic RNG -------------------------------------------
-
-RANDOM_DEVICE = re.compile(r"\bstd::random_device\b")
-UNSEEDED_ENGINE = re.compile(
-    r"\bstd::(mt19937(_64)?|default_random_engine|minstd_rand0?)\s+\w+\s*(;|\{\s*\}|\(\s*\))"
-)
-
-
-def check_rng(path: pathlib.Path, rel: str, findings: list[str]) -> None:
-    if rel.startswith("src/util/"):
-        return
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if RANDOM_DEVICE.search(line):
-            findings.append(
-                f"{rel}:{lineno}: nondeterministic-rng: std::random_device is "
-                f"forbidden outside src/util; take an explicit seed "
-                f"(util::derive_stream_seed) so runs stay bit-identical"
-            )
-        if UNSEEDED_ENGINE.search(line):
-            findings.append(
-                f"{rel}:{lineno}: nondeterministic-rng: unseeded engine; "
-                f"construct with an explicit seed so runs stay bit-identical"
-            )
-
-
-# ---- rule 4: raw std::chrono timing outside src/obs -------------------------
+# ---- rule 2: raw std::chrono timing outside src/obs -------------------------
 
 RAW_CHRONO = re.compile(r"\bstd::chrono\b")
 RAW_CHRONO_ALLOW = re.compile(r"lint:\s*allow-raw-chrono")
@@ -207,7 +164,7 @@ def check_raw_chrono(path: pathlib.Path, rel: str, findings: list[str]) -> None:
             )
 
 
-# ---- rule 5: raw std::ofstream output outside util::atomic_file -------------
+# ---- rule 3: raw std::ofstream output outside util::atomic_file -------------
 
 RAW_OFSTREAM = re.compile(r"\bstd::ofstream\b")
 RAW_OFSTREAM_ALLOW = re.compile(r"lint:\s*allow-raw-ofstream")
@@ -233,143 +190,28 @@ def check_raw_ofstream(path: pathlib.Path, rel: str, findings: list[str]) -> Non
             )
 
 
-# ---- rule 6: <thread>/<future> includes outside src/util --------------------
+# ---- rule 4: <thread>/<future> includes outside src/util --------------------
 
 THREAD_INCLUDE = re.compile(r"#\s*include\s*<(?P<header>thread|future)>")
 THREAD_INCLUDE_ALLOW = re.compile(r"lint:\s*allow-thread-include")
 
 
-def load_thread_uses(path: pathlib.Path) -> dict[str, list[str]]:
-    """raw-thread use map exported by `mnsim-analyze --thread-uses-out`.
-
-    Maps repo-relative file -> ["line:col", ...] construction sites
-    (std::thread / std::jthread / std::async), extracted token-exactly,
-    so the finding can point at the construct the include feeds instead
-    of the include line alone. Raises ValueError on a malformed map so
-    the driver exits 2 rather than silently linting with no sites.
-    """
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ValueError(f"cannot read thread-use map {path}: {err}") from None
-    uses = payload.get("uses") if isinstance(payload, dict) else None
-    if not isinstance(uses, dict) or not all(
-        isinstance(k, str)
-        and isinstance(v, list)
-        and all(isinstance(s, str) for s in v)
-        for k, v in uses.items()
-    ):
-        raise ValueError(
-            f"malformed thread-use map {path}: expected an object with a "
-            f'"uses" mapping of file -> ["line:col", ...] '
-            f"(regenerate with `python3 tools/analyze --thread-uses-out`)"
-        )
-    return {k: list(v) for k, v in uses.items()}
-
-
-def check_thread_include(
-    path: pathlib.Path,
-    rel: str,
-    findings: list[str],
-    thread_uses: dict[str, list[str]] | None = None,
-) -> None:
+def check_thread_include(path: pathlib.Path, rel: str, findings: list[str]) -> None:
     if not rel.startswith("src/") or rel.startswith("src/util/"):
         return
     text = path.read_text()
     covered = escape_covered_lines(text, THREAD_INCLUDE_ALLOW)
     for lineno, line in enumerate(text.splitlines(), 1):
         m = THREAD_INCLUDE.search(line)
-        if not m or lineno in covered:
-            continue
-        if thread_uses is None:
-            detail = (
-                "run `python3 tools/analyze --rules raw-thread` for the "
-                "construction sites this include feeds"
+        if m and lineno not in covered:
+            findings.append(
+                f"{rel}:{lineno}: thread-include: <{m.group('header')}> "
+                f"outside src/util/; concurrency goes through "
+                f"util::ThreadPool (src/util/parallel.hpp) or carries "
+                f"`// lint: allow-thread-include(<why>)`; run `python3 "
+                f"tools/analyze --rules raw-thread` for the construction "
+                f"sites this include feeds"
             )
-        else:
-            sites = thread_uses.get(rel, [])
-            detail = (
-                "the analyzer's raw-thread rule sees construction at "
-                + ", ".join(f"{rel}:{s}" for s in sites)
-                if sites
-                else "the analyzer's raw-thread rule sees no construction "
-                "site in this file — the include may be dead"
-            )
-        findings.append(
-            f"{rel}:{lineno}: thread-include: <{m.group('header')}> outside "
-            f"src/util/; concurrency goes through util::ThreadPool "
-            f"(src/util/parallel.hpp) or carries "
-            f"`// lint: allow-thread-include(<why>)`; {detail}"
-        )
-
-
-# ---- rule 3: diagnostic codes vs docs/DIAGNOSTICS.md ------------------------
-
-DIAG_CODE = re.compile(r"\bMN-[A-Z]{2,4}-\d{3}\b")
-DIAG_CATALOGUE = "docs/DIAGNOSTICS.md"
-
-
-def load_analyzer_codes(path: pathlib.Path) -> dict[str, str]:
-    """MN-* code map exported by `mnsim-analyze --mn-codes-out`.
-
-    The analyzer extracts codes from *string literals only* (token-exact
-    lexing), so delegation removes this linter's one false-positive
-    class: codes mentioned in comments. Returns {code: "file:line"};
-    raises ValueError on a malformed map so the driver can exit 2 rather
-    than silently passing with an empty code set.
-    """
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ValueError(f"cannot read MN-code map {path}: {err}") from None
-    codes = payload.get("codes") if isinstance(payload, dict) else None
-    if not isinstance(codes, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in codes.items()
-    ):
-        raise ValueError(
-            f"malformed MN-code map {path}: expected an object with a "
-            f'"codes" mapping of code -> "file:line" '
-            f"(regenerate with `python3 tools/analyze --mn-codes-out`)"
-        )
-    return dict(codes)
-
-
-def check_diagnostic_catalogue(
-    findings: list[str], emitted: dict[str, str] | None = None
-) -> None:
-    """Source codes and the catalogue must agree exactly (both directions).
-
-    `emitted` (code -> "file:line") normally comes from the analyzer's
-    AST-extracted map (--mn-codes); when None, fall back to a plain grep
-    of src/, which also matches codes in comments.
-    """
-    if emitted is None:
-        emitted = {}
-        for path in sorted((REPO / "src").rglob("*.[ch]pp")):
-            rel = str(path.relative_to(REPO))
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                for code in DIAG_CODE.findall(line):
-                    emitted.setdefault(code, f"{rel}:{lineno}")
-
-    catalogue_path = REPO / DIAG_CATALOGUE
-    documented = (
-        set(DIAG_CODE.findall(catalogue_path.read_text()))
-        if catalogue_path.is_file()
-        else set()
-    )
-
-    for code in sorted(set(emitted) - documented):
-        findings.append(
-            f"{emitted[code]}: undocumented-diagnostic: '{code}' is "
-            f"constructed in src/ but not catalogued in {DIAG_CATALOGUE}; "
-            f"add an entry with an example trigger and remedy"
-        )
-    for code in sorted(documented - set(emitted)):
-        findings.append(
-            f"{DIAG_CATALOGUE}: undocumented-diagnostic: '{code}' is "
-            f"catalogued but no longer constructed anywhere in src/; "
-            f"remove the stale entry (codes are never reused)"
-        )
 
 
 # ---- driver ------------------------------------------------------------------
@@ -380,49 +222,16 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files to lint (default: the src/, tests/, bench/, examples/ trees)",
-    )
-    parser.add_argument(
-        "--mn-codes",
-        metavar="JSON",
-        default=None,
-        help="MN-* code map exported by `mnsim-analyze --mn-codes-out`; "
-        "when given, rule 3 trusts the analyzer's string-literal "
-        "extraction instead of re-grepping src/ (which also matches "
-        "codes in comments)",
-    )
-    parser.add_argument(
-        "--thread-uses",
-        metavar="JSON",
-        default=None,
-        help="raw-thread use map exported by `mnsim-analyze "
-        "--thread-uses-out`; when given, rule 6 cites the analyzer's "
-        "token-exact std::thread/std::async construction sites in its "
-        "finding instead of the include line alone",
+        help="files to lint (default: the src/ and examples/ trees, the "
+        "only ones a rule applies to)",
     )
     args = parser.parse_args(argv)
-
-    emitted: dict[str, str] | None = None
-    if args.mn_codes:
-        try:
-            emitted = load_analyzer_codes(pathlib.Path(args.mn_codes))
-        except ValueError as err:
-            print(f"lint.py: {err}", file=sys.stderr)
-            return 2
-
-    thread_uses: dict[str, list[str]] | None = None
-    if args.thread_uses:
-        try:
-            thread_uses = load_thread_uses(pathlib.Path(args.thread_uses))
-        except ValueError as err:
-            print(f"lint.py: {err}", file=sys.stderr)
-            return 2
 
     if args.paths:
         files = [pathlib.Path(p) for p in args.paths]
     else:
         files = []
-        for tree in ("src", "tests", "bench", "examples"):
+        for tree in ("src", "examples"):
             files.extend(sorted((REPO / tree).rglob("*.hpp")))
             files.extend(sorted((REPO / tree).rglob("*.cpp")))
 
@@ -434,14 +243,9 @@ def main(argv: list[str]) -> int:
         rel = str(path.resolve().relative_to(REPO)) if path.resolve().is_relative_to(REPO) else str(path)
         if rel.endswith(".hpp") and rel.startswith(RAW_DOUBLE_HEADER_DIRS):
             check_raw_double(path, rel, findings)
-        check_rng(path, rel, findings)
         check_raw_chrono(path, rel, findings)
         check_raw_ofstream(path, rel, findings)
-        check_thread_include(path, rel, findings, thread_uses)
-
-    # Global rule: run over the whole tree, not per-file, so a stale
-    # catalogue entry is caught even when linting a single file.
-    check_diagnostic_catalogue(findings, emitted)
+        check_thread_include(path, rel, findings)
 
     for f in findings:
         print(f)

@@ -39,19 +39,12 @@ fi
 step "ctest (C++ suite + tooling suites + compile-fail harness)"
 (cd build && ctest --output-on-failure -j "$(nproc)") || failures=$((failures+1))
 
-step "mnsim-analyze (semantic rules, SARIF + MN-code + thread-use maps)"
-python3 tools/analyze -p build --backend auto \
-  --sarif build/mnsim-analyze.sarif \
-  --mn-codes-out build/mn_codes.json \
-  --thread-uses-out build/thread_uses.json || failures=$((failures+1))
+step "mnsim-analyze (semantic rules, SARIF)"
+python3 tools/analyze -p build --sarif build/mnsim-analyze.sarif \
+  || failures=$((failures+1))
 
-step "tools/lint.py (rules 3 and 6 delegated to the analyzer maps)"
-if [ -f build/mn_codes.json ] && [ -f build/thread_uses.json ]; then
-  python3 tools/lint.py --mn-codes build/mn_codes.json \
-    --thread-uses build/thread_uses.json || failures=$((failures+1))
-else
-  python3 tools/lint.py || failures=$((failures+1))
-fi
+step "tools/lint.py (source conventions)"
+python3 tools/lint.py || failures=$((failures+1))
 
 step "clang -Wthread-safety (MN_* capability annotations)"
 if command -v clang++ >/dev/null 2>&1; then
